@@ -266,7 +266,7 @@ class PhaseReport:
         return not self.violations
 
 
-def phase_report(run: RunResult, *, slack: int = 0) -> PhaseReport:
+def phase_report(run: RunResult) -> PhaseReport:
     """Check the per-phase counter inequalities recorded by a guarded run."""
     phases = run.phase_stats
     if not phases:
@@ -289,7 +289,7 @@ def phase_report(run: RunResult, *, slack: int = 0) -> PhaseReport:
         if c_sum > 2 * opt:
             violations.append(f"global: sum(c_q)={c_sum} > 2*opt={2 * opt}")
         if phases[-1].q >= 1:
-            literal_upper_ok = opt <= n_old_sum + slack
+            literal_upper_ok = opt <= n_old_sum
             reverse_lower_ok = n_old_sum <= opt
     return PhaseReport(
         phases=phases,

@@ -332,7 +332,7 @@ def run(config: ExperimentConfig) -> RunTable:
                     err = measure_error(bundle, tr, k=k)
                     eta_t += err.eta_t
                     eta_b += err.eta_b
-                    eta_f_wrong += bundle.fitf_wrong
+                    eta_f_wrong += err.eta_f
                     eta_f_queries += bundle.fitf_queries
                 if result.phase_stats is not None:
                     report = phase_report(result)

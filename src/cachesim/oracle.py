@@ -1,4 +1,4 @@
-"""Offline optimum (Belady's rule), eviction labels, and exact references.
+"""Offline optimum (Belady's rule) and eviction labels.
 
 Belady's rule evicts the cached page whose next request lies furthest in the
 future. Ties (possible only among pages that are never requested again) are
@@ -11,10 +11,6 @@ whose page survives in cache until its next request (or the end) are 0-pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping
-
-import numpy as np
 
 from .trace import PageId, Trace
 
@@ -66,127 +62,3 @@ def opt_cost(trace: Trace, k: int) -> int:
 def belady_labels(trace: Trace, k: int) -> list[int]:
     """Per-request binary eviction labels of the offline optimum."""
     return belady_simulate(trace, k).labels
-
-
-def fitf_page(
-    cached: Iterable[PageId],
-    now: int,
-    next_of: Callable[[PageId], int] | Mapping[PageId, int],
-    last_used: Callable[[PageId], int] | Mapping[PageId, int] | None = None,
-) -> PageId:
-    """Furthest-in-the-future page among ``cached``.
-
-    ``next_of`` maps a page to its next request index strictly after ``now``.
-    Ties break least-recently-used first (via ``last_used``, when given), then
-    larger page id — the same rule `belady_simulate` applies.
-    """
-    cached = list(cached)
-    if not cached:
-        raise ValueError("empty candidate set")
-    get_next = next_of if callable(next_of) else next_of.__getitem__
-    if last_used is None:
-        get_last = lambda p: 0  # noqa: E731 - no recency info: page id decides ties
-    else:
-        get_last = last_used if callable(last_used) else last_used.__getitem__
-    return max(cached, key=lambda p: (get_next(p), -get_last(p), p))
-
-
-def brute_force_opt(trace: Trace, k: int) -> int:
-    """Exact optimum by exhaustive eviction branching, memoised on (position, cache).
-
-    Only usable on tiny instances; guarded at n <= 16 and universe <= 6.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(trace) > 16 or trace.universe_size > 6:
-        raise ValueError("instance too large for exhaustive search (n <= 16, universe <= 6)")
-    pages = tuple(trace.pages)
-    n = len(pages)
-
-    @lru_cache(maxsize=None)
-    def solve(i: int, cache: frozenset) -> int:
-        if i == n:
-            return 0
-        p = pages[i]
-        if p in cache:
-            return solve(i + 1, cache)
-        if len(cache) < k:
-            return 1 + solve(i + 1, cache | {p})
-        return 1 + min(solve(i + 1, (cache - {q}) | {p}) for q in cache)
-
-    return solve(0, frozenset())
-
-
-def current_one_pages(
-    trace: Trace,
-    k: int,
-    cached: Iterable[PageId],
-    now: int,
-    last_used: Mapping[PageId, int] | None = None,
-) -> set[PageId]:
-    """Cached pages an optimal continuation would evict before their next request.
-
-    Reruns Belady's rule over requests ``now+1..n`` starting from the given
-    cache contents and reports which of those pages get dropped strictly
-    before they are requested again (those are the state's current 1-pages).
-    """
-    pages = trace.pages
-    nxt_arr = trace.next_occurrence
-    n = len(pages)
-    cache: dict[PageId, int] = {}
-    lu: dict[PageId, int] = {}
-    for p in cached:
-        if last_used is not None:
-            t_last = last_used[p]
-        else:
-            t_last = trace.last_occurrence_at_or_before(p, now)
-            if t_last is None:
-                raise ValueError(f"cached page {p} was never requested up to t={now}")
-        cache[p] = trace.next_occurrence_after(p, now)
-        lu[p] = t_last
-    ones: set[PageId] = set()
-    unresolved = set(cache)
-    for i in range(now + 1, n + 1):
-        if not unresolved:
-            break
-        p = pages[i - 1]
-        # Reaching its next request while still cached settles a page as a 0-page.
-        unresolved.discard(p)
-        if p in cache:
-            cache[p] = nxt_arr[i - 1]
-        else:
-            if len(cache) == k:
-                victim = max(cache, key=lambda q: (cache[q], -lu[q], q))
-                del cache[victim]
-                if victim in unresolved:
-                    ones.add(victim)
-                    unresolved.discard(victim)
-            cache[p] = nxt_arr[i - 1]
-        lu[p] = i
-    return ones
-
-
-def rb_random_policy_cost(trace: Trace, k: int, seed: int = 0) -> int:
-    """Miss count of the policy that evicts a uniformly random true 1-page.
-
-    The 1-page set is recomputed operationally at every eviction via
-    `current_one_pages`; prioritising 1-pages this way matches the offline
-    optimum's cost exactly.
-    """
-    rng = np.random.default_rng(seed)
-    cache: set[PageId] = set()
-    last_used: dict[PageId, int] = {}
-    misses = 0
-    for i, p in enumerate(trace.pages, 1):
-        if p in cache:
-            last_used[p] = i
-            continue
-        misses += 1
-        if len(cache) == k:
-            ones = sorted(current_one_pages(trace, k, cache, i - 1, last_used))
-            if not ones:
-                raise RuntimeError(f"no 1-page available at miss t={i}")
-            cache.discard(ones[int(rng.integers(len(ones)))])
-        cache.add(p)
-        last_used[p] = i
-    return misses

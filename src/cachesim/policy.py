@@ -1,10 +1,13 @@
 """Eviction policies and the request-replay engine.
 
 A policy sees every request through `on_request` (if it asks for the hook) and
-is consulted through `choose_victim` whenever a miss hits a full cache. The
-engine owns the cache set, per-page recency, and the prediction value attached
-to each page at its most recent request; policies only pick victims from the
-candidate set they are offered.
+is consulted through `choose_victim` whenever a miss hits a full cache. One
+engine, `EvictionContext`, replays every run: `simulate` drives one over the
+whole trace, and each switching combiner drives one per sub-policy, a request
+at a time. The engine owns the cache set, per-page recency, and the
+prediction value attached to each page at its most recent request, and it is
+itself the context that `choose_victim` receives; policies only pick victims
+from the candidate set it offers.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import opt_cost
-from .predict import PredictionBundle, PredictionError, PredictionKind, measure_error
+from .predict import PredictionBundle, PredictionKind
 from .trace import PageId, Trace
 
 
@@ -24,27 +27,90 @@ class ContractViolation(RuntimeError):
 
 
 class EvictionContext:
-    """State handed to `choose_victim`; fields reference live engine state."""
+    """Replay engine for one policy on one trace and k-slot cache, and the
+    context handed to that policy's `choose_victim`.
 
-    __slots__ = (
-        "now",
-        "requested",
-        "cached",
-        "candidates",
-        "predictions",
-        "last_prediction_of",
-        "last_used",
-    )
+    Policies read `now` (index of the request that missed), `requested` (its
+    page), `cached`, `candidates` (the pages they may evict), `predictions`
+    (the bundle), `last_prediction_of` and `last_used`. These are the
+    engine's live state: policies only read them, except that a wrapper may
+    narrow `candidates` for a delegated call and restores it before returning.
+    """
 
-    def __init__(self, now, requested, cached, candidates, predictions,
-                 last_prediction_of, last_used):
-        self.now = now
-        self.requested = requested
-        self.cached = cached
-        self.candidates = candidates
-        self.predictions = predictions
-        self.last_prediction_of = last_prediction_of
-        self.last_used = last_used
+    __slots__ = ("now", "requested", "cached", "candidates", "predictions",
+                 "last_prediction_of", "last_used", "policy", "k", "rng", "misses",
+                 "served", "last_evict_t", "last_evict_victim", "_pages", "_vals", "_calls")
+
+    def __init__(self, policy: Policy, trace: Trace, k: int,
+                 bundle: PredictionBundle | None, rng: np.random.Generator):
+        policy.begin_run(trace, k, bundle, rng)
+        self.policy = policy
+        self.k = k
+        self.rng = rng
+        self.now = 0
+        self.requested = -1
+        self.cached: set[PageId] = set()
+        self.candidates = self.cached
+        self.predictions = bundle
+        self.last_prediction_of: dict[PageId, int] = {}
+        self.last_used: dict[PageId, int] = {}
+        self.misses = 0
+        self.served = 0
+        self.last_evict_t = 0
+        self.last_evict_victim: PageId | None = None
+        self._pages = trace.pages
+        # bound once per run, since a combiner lane calls advance() per request
+        self._calls = (policy.on_request if policy.needs_request_hook else None,
+                       policy.choose_victim, policy.on_evict)
+        self._vals = None
+        if bundle is not None:
+            if bundle.kind is PredictionKind.NRT:
+                self._vals = bundle.nrt
+            elif bundle.kind is PredictionKind.BINARY:
+                self._vals = bundle.labels
+
+    def advance(self, until: int) -> None:
+        """Serve every request after the last one served, up to index `until`."""
+        k = self.k
+        rng = self.rng
+        cache = self.cached
+        last_used = self.last_used
+        page_pred = self.last_prediction_of
+        vals = self._vals
+        hook, choose, on_evict = self._calls
+        misses = self.misses
+        # kept in locals and stored once per call: an attribute store on every
+        # eviction is measurable on short runs with many evictions
+        evict_t, evict_victim = self.last_evict_t, self.last_evict_victim
+        i = self.served
+        for p in self._pages[i:until]:
+            i += 1
+            if vals is not None:
+                page_pred[p] = vals[i - 1]
+            if p in cache:
+                last_used[p] = i
+                if hook is not None:
+                    hook(p, i, True)
+            else:
+                misses += 1
+                if len(cache) == k:
+                    self.now = i
+                    self.requested = p
+                    victim = choose(self, rng)
+                    if victim not in cache:
+                        raise ContractViolation(
+                            f"{self.policy.name} chose non-candidate victim {victim!r} at t={i}"
+                        )
+                    cache.discard(victim)
+                    on_evict(victim)
+                    evict_t, evict_victim = i, victim
+                cache.add(p)
+                last_used[p] = i
+                if hook is not None:
+                    hook(p, i, False)
+        self.served = i
+        self.misses = misses
+        self.last_evict_t, self.last_evict_victim = evict_t, evict_victim
 
 
 class Policy:
@@ -162,65 +228,6 @@ class FitFFollowerPolicy(Policy):
         return ctx.predictions.fitf_choice(ctx.candidates, ctx.now)
 
 
-class _Lane:
-    """Private virtual simulation of one sub-policy inside a combiner."""
-
-    __slots__ = ("policy", "k", "cache", "last_used", "page_pred", "vals",
-                 "hook", "ctx", "misses", "last_evict_t", "last_evict_victim")
-
-    def __init__(self, policy: Policy):
-        self.policy = policy
-
-    def begin(self, trace, k, bundle, rng):
-        self.policy.begin_run(trace, k, bundle, rng)
-        self.k = k
-        self.cache: set[PageId] = set()
-        self.last_used: dict[PageId, int] = {}
-        self.page_pred: dict[PageId, int] = {}
-        self.vals = None
-        if bundle is not None:
-            if bundle.kind is PredictionKind.NRT:
-                self.vals = bundle.nrt
-            elif bundle.kind is PredictionKind.BINARY:
-                self.vals = bundle.labels
-        self.hook = self.policy.on_request if self.policy.needs_request_hook else None
-        self.ctx = EvictionContext(0, -1, self.cache, self.cache, bundle,
-                                   self.page_pred, self.last_used)
-        self.misses = 0
-        self.last_evict_t = 0
-        self.last_evict_victim: PageId | None = None
-
-    def step(self, i: int, p: PageId, rng) -> bool:
-        """Serve one request on the lane's private cache; True on a miss."""
-        if self.vals is not None:
-            self.page_pred[p] = self.vals[i - 1]
-        cache = self.cache
-        if p in cache:
-            self.last_used[p] = i
-            if self.hook is not None:
-                self.hook(p, i, True)
-            return False
-        self.misses += 1
-        if len(cache) == self.k:
-            ctx = self.ctx
-            ctx.now = i
-            ctx.requested = p
-            victim = self.policy.choose_victim(ctx, rng)
-            if victim not in cache:
-                raise ContractViolation(
-                    f"{self.policy.name} chose non-candidate victim {victim!r} at t={i}"
-                )
-            cache.discard(victim)
-            self.policy.on_evict(victim)
-            self.last_evict_t = i
-            self.last_evict_victim = victim
-        cache.add(p)
-        self.last_used[p] = i
-        if self.hook is not None:
-            self.hook(p, i, False)
-        return True
-
-
 class _CombinerBase(Policy):
     """Runs two sub-policies on private virtual caches over the same requests
     and mirrors the currently active one onto the real cache: on a real
@@ -236,29 +243,23 @@ class _CombinerBase(Policy):
                 f"sub-policies {a.name!r} and {b.name!r} need different prediction kinds"
             )
         self.requires = kinds.pop() if kinds else PredictionKind.NONE
-        self.lanes = (_Lane(a), _Lane(b))
+        self.policies = (a, b)
         self.active = 0
 
     def begin_run(self, trace, k, bundle, rng):
-        for lane in self.lanes:
-            lane.begin(trace, k, bundle, rng)
-        self._pages = trace.pages
-        self._rng = rng
-        self._processed = 0
+        self.lanes = tuple(EvictionContext(p, trace, k, bundle, rng) for p in self.policies)
         self.active = 0
 
     def _advance(self, now: int) -> None:
-        lanes = self.lanes
-        pages = self._pages
-        rng = self._rng
-        i = self._processed
+        """Serve the lanes in lockstep up to request `now`."""
+        a, b = self.lanes
+        i = a.served
         while i < now:
             i += 1
-            p = pages[i - 1]
-            m0 = lanes[0].step(i, p, rng)
-            m1 = lanes[1].step(i, p, rng)
-            self._after_step(m0, m1)
-        self._processed = i
+            misses_a, misses_b = a.misses, b.misses
+            a.advance(i)
+            b.advance(i)
+            self._after_step(a.misses > misses_a, b.misses > misses_b)
 
     def _after_step(self, miss_a: bool, miss_b: bool) -> None:
         raise NotImplementedError
@@ -395,7 +396,6 @@ class RunResult:
     wall_ms: float
     predictor: str = ""
     param: float | str | None = None
-    error: PredictionError | None = None
     phase_stats: list | None = None
 
     @property
@@ -433,7 +433,6 @@ def simulate(
     seed: int = 0,
     opt_misses: int | None = None,
     compute_opt: bool = True,
-    measure_errors: bool = False,
 ) -> RunResult:
     """Replay the trace against a policy on a k-slot cache.
 
@@ -444,63 +443,19 @@ def simulate(
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_bundle(policy, bundle, len(trace))
-    rng = np.random.default_rng(seed)
-    policy.begin_run(trace, k, bundle, rng)
-
-    vals = None
-    if bundle is not None:
-        if bundle.kind is PredictionKind.NRT:
-            vals = bundle.nrt
-        elif bundle.kind is PredictionKind.BINARY:
-            vals = bundle.labels
-    cache: set[PageId] = set()
-    last_used: dict[PageId, int] = {}
-    page_pred: dict[PageId, int] = {}
-    ctx = EvictionContext(0, -1, cache, cache, bundle, page_pred, last_used)
-    hook = policy.on_request if policy.needs_request_hook else None
-    choose = policy.choose_victim
-    on_evict = policy.on_evict
-    misses = 0
-    i = 0
+    engine = EvictionContext(policy, trace, k, bundle, np.random.default_rng(seed))
     start = time.perf_counter()
-    for p in trace.pages:
-        i += 1
-        if vals is not None:
-            page_pred[p] = vals[i - 1]
-        if p in cache:
-            last_used[p] = i
-            if hook is not None:
-                hook(p, i, True)
-        else:
-            misses += 1
-            if len(cache) == k:
-                ctx.now = i
-                ctx.requested = p
-                victim = choose(ctx, rng)
-                if victim not in cache:
-                    raise ContractViolation(
-                        f"{policy.name} chose non-candidate victim {victim!r} at t={i}"
-                    )
-                cache.discard(victim)
-                on_evict(victim)
-            cache.add(p)
-            last_used[p] = i
-            if hook is not None:
-                hook(p, i, False)
+    engine.advance(len(trace))
     wall_ms = (time.perf_counter() - start) * 1e3
 
     opt = opt_misses
     if opt is None and compute_opt:
         opt = opt_cost(trace, k)
-    error = None
-    if measure_errors and bundle is not None:
-        error = measure_error(bundle, trace, k)
     return RunResult(
         policy=policy.name,
-        misses=misses,
+        misses=engine.misses,
         opt_misses=opt,
         seed=seed,
         wall_ms=wall_ms,
-        error=error,
         phase_stats=getattr(policy, "phase_stats", None),
     )

@@ -11,28 +11,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 PageId = int
 
 
-@dataclass(frozen=True)
-class Request:
-    """A single page request: 1-based position in the trace plus the page."""
-
-    index: int
-    page: PageId
-
-
-def _page_ids(requests: Iterable) -> list[PageId]:
-    return [r.page if isinstance(r, Request) else int(r) for r in requests]
-
-
 def compute_next_occurrence(requests: Sequence) -> list[int]:
     """Next-occurrence index for every request, sentinel n+1, in one backward pass."""
-    pages = _page_ids(requests)
+    pages = [int(r) for r in requests]
     n = len(pages)
     nxt = [0] * n
     last_seen: dict[PageId, int] = {}
@@ -67,11 +54,6 @@ class Trace:
     def n(self) -> int:
         return len(self.pages)
 
-    @property
-    def requests(self) -> list[Request]:
-        """Materialised request objects; O(n), intended for small traces."""
-        return [Request(i, p) for i, p in enumerate(self.pages, 1)]
-
     def occurrences(self) -> dict[PageId, list[int]]:
         """Per-page sorted request indices (1-based), built lazily."""
         if self._occ is None:
@@ -80,21 +62,6 @@ class Trace:
                 occ.setdefault(p, []).append(i)
             self._occ = occ
         return self._occ
-
-    def next_occurrence_after(self, page: PageId, t: int) -> int:
-        """Index of the first request for `page` strictly after `t`; n+1 if none."""
-        times = self.occurrences().get(page)
-        if not times:
-            return len(self.pages) + 1
-        j = bisect_right(times, t)
-        return times[j] if j < len(times) else len(self.pages) + 1
-
-    def last_occurrence_at_or_before(self, page: PageId, t: int) -> int | None:
-        times = self.occurrences().get(page)
-        if not times:
-            return None
-        j = bisect_right(times, t)
-        return times[j - 1] if j else None
 
     @property
     def digest(self) -> str:

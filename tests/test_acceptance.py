@@ -22,7 +22,6 @@ from cachesim import (
     Trace,
     adversarial_pinning_trace,
     belady_simulate,
-    brute_force_opt,
     build_policy,
     flip_labels,
     ingest_brightkite,
@@ -33,13 +32,12 @@ from cachesim import (
     perfect_labels,
     perfect_nrt,
     phase_report,
-    rb_random_policy_cost,
     robustness_bound,
     run,
     simulate,
     synthetic_nrt,
 )
-from .reference_impls import random_trace
+from .reference_impls import brute_force_opt, random_trace, rb_random_policy_cost
 
 DATA = Path(__file__).parent / "data"
 

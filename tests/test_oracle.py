@@ -9,13 +9,16 @@ from cachesim import (
     Trace,
     belady_labels,
     belady_simulate,
+    opt_cost,
+)
+from .reference_impls import (
+    belady_misses_naive,
     brute_force_opt,
     current_one_pages,
     fitf_page,
-    opt_cost,
+    random_trace,
     rb_random_policy_cost,
 )
-from .reference_impls import belady_misses_naive, random_trace
 
 
 def test_belady_five_request_example():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     BeladyPolicy,
@@ -27,7 +29,6 @@ from cachesim import (
     perfect_labels,
     perfect_nrt,
     simulate,
-    synthetic_nrt,
 )
 from .reference_impls import lru_misses, random_trace
 
@@ -158,16 +159,6 @@ def test_run_result_ratio_handles_missing_opt():
     assert res.opt_misses is None and res.ratio is None
 
 
-def test_measure_errors_flag_populates_error():
-    tr = Trace([0, 1, 0, 2, 1, 0])
-    res = simulate(BlindOraclePolicy(), tr, 2, perfect_nrt(tr), measure_errors=True)
-    assert res.error is not None and res.error.eta_t == 0.0
-    noisy = simulate(
-        BlindOraclePolicy(), tr, 2, synthetic_nrt(tr, 2.0, seed=1), measure_errors=True
-    )
-    assert noisy.error.eta_t > 0.0
-
-
 # --- combiners ---------------------------------------------------------------
 
 
@@ -201,6 +192,27 @@ def test_switch_rand_stays_near_the_better_lane():
             seed=seed, opt_misses=opt,
         )
         assert res.misses <= 3 * opt
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    pages=st.lists(st.integers(0, 7), min_size=1, max_size=80),
+    k=st.integers(1, 5),
+    combiner=st.sampled_from(["switch_det", "switch_rand"]),
+    lanes=st.tuples(*[st.sampled_from(["lru", "belady", "blind_oracle"])] * 2),
+    inverted=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_combiner_lanes_replay_like_simulate(pages, k, combiner, lanes, inverted, seed):
+    # Deterministic sub-policies draw nothing, so each lane must make exactly
+    # the misses its sub-policy makes when `simulate` runs it alone.
+    tr = Trace(pages)
+    bundle = inverted_nrt(tr) if inverted else perfect_nrt(tr)
+    policy = build_policy(f"{combiner}({lanes[0]},{lanes[1]})")
+    simulate(policy, tr, k, bundle, seed=seed, compute_opt=False)
+    for lane, spec in zip(policy.lanes, lanes):
+        alone = simulate(build_policy(spec), tr, k, bundle, seed=seed, compute_opt=False)
+        assert lane.misses == alone.misses
 
 
 def test_combiner_rejects_mixed_prediction_kinds():

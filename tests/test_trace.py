@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cachesim import (
-    Request,
     SetAssociativeConfig,
     Trace,
     adversarial_pinning_trace,
@@ -19,7 +18,14 @@ from cachesim import (
     ingest_citibike,
     parse_plain_trace,
 )
-from .reference_impls import quadratic_next_occurrence, random_trace
+from .reference_impls import (
+    Request,
+    last_occurrence_at_or_before,
+    next_occurrence_after,
+    quadratic_next_occurrence,
+    random_trace,
+    requests,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,7 +56,7 @@ def test_trace_basic_properties():
     assert len(tr) == tr.n == 4
     assert tr.universe_size == 3
     assert tr.pages == [5, 3, 5, 7]
-    assert [r.index for r in tr.requests] == [1, 2, 3, 4]
+    assert [r.index for r in requests(tr)] == [1, 2, 3, 4]
     assert tr.occurrences()[5] == [1, 3]
 
 
@@ -63,12 +69,12 @@ def test_trace_rejects_bad_input():
 
 def test_occurrence_queries():
     tr = Trace([0, 1, 2, 1, 0])
-    assert tr.next_occurrence_after(1, 2) == 4
-    assert tr.next_occurrence_after(1, 4) == 6
-    assert tr.next_occurrence_after(9, 0) == 6
-    assert tr.last_occurrence_at_or_before(0, 5) == 5
-    assert tr.last_occurrence_at_or_before(0, 4) == 1
-    assert tr.last_occurrence_at_or_before(9, 4) is None
+    assert next_occurrence_after(tr, 1, 2) == 4
+    assert next_occurrence_after(tr, 1, 4) == 6
+    assert next_occurrence_after(tr, 9, 0) == 6
+    assert last_occurrence_at_or_before(tr, 0, 5) == 5
+    assert last_occurrence_at_or_before(tr, 0, 4) == 1
+    assert last_occurrence_at_or_before(tr, 9, 4) is None
 
 
 def test_trace_digest_is_content_addressed():
