@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on configuration or input errors, 2 when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -14,17 +15,13 @@ from .guard import InvariantViolation
 from .harness import ExperimentConfig, resolve_out, run
 from .policy import ContractViolation
 
-_CONFIG_KEYS = {
-    "trace", "format", "k", "policy", "pred", "sweep", "seeds", "out",
-    "phase_stats", "assert_invariants",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachesim",
         description="Replay a request trace against cache eviction policies "
                     "and report miss counts relative to the offline optimum.",
+        argument_default=argparse.SUPPRESS,  # flags not given stay out of the namespace
     )
     parser.add_argument("--config", help="JSON file holding the flags below; "
                                          "explicit flags take precedence")
@@ -39,64 +36,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sweep", help="sweep one predictor parameter, e.g. sigma=0,0.5,1,2")
     parser.add_argument("--seeds", type=int, help="number of seeds (runs seeds 0..N-1)")
     parser.add_argument("--out", help="write per-run and aggregate rows to this CSV")
-    parser.add_argument("--phase-stats", action="store_true", default=None,
+    parser.add_argument("--phase-stats", action="store_true",
                         help="also write per-phase counters next to --out")
-    parser.add_argument("--assert-invariants", action="store_true", default=None,
+    parser.add_argument("--assert-invariants", action="store_true",
                         help="fail (exit 2) if any guarded run breaks a phase invariant")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge the --config file with the flags given (flags win); `run` validates."""
+    flags = vars(args)
+    config_path = flags.pop("config", None)
     data: dict = {}
-    if args.config:
-        with open(args.config) as fh:
+    if config_path:
+        with open(config_path) as fh:
             data = json.load(fh)
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(data)
-    for key in ("trace", "format", "k", "policy", "pred", "sweep", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    if args.seeds is not None:
-        merged["seeds"] = args.seeds
-    if args.phase_stats is not None:
-        merged["phase_stats"] = args.phase_stats
-    if args.assert_invariants is not None:
-        merged["assert_invariants"] = args.assert_invariants
-
-    if "trace" not in merged:
+    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    data.update(flags)
+    if "trace" not in data:
         raise ValueError("--trace is required (directly or via --config)")
-    seeds = merged.get("seeds", 1)
+    seeds = data.get("seeds", 1)
     if isinstance(seeds, int):
         if seeds < 1:
             raise ValueError("--seeds must be >= 1")
-        seeds = list(range(seeds))
-    config = ExperimentConfig(
-        trace=merged["trace"],
-        format=merged.get("format", "plain"),
-        k=merged.get("k"),
-        policy=merged.get("policy", "lru"),
-        pred=merged.get("pred", "none"),
-        sweep=merged.get("sweep"),
-        seeds=[int(s) for s in seeds],
-        out=merged.get("out"),
-        phase_stats=bool(merged.get("phase_stats", False)),
-        assert_invariants=bool(merged.get("assert_invariants", False)),
-    )
-    config.validate()
-    return config
+        seeds = range(seeds)
+    data["seeds"] = [int(s) for s in seeds]
+    return ExperimentConfig(**data)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         table = run(config)
     except (InvariantViolation, ContractViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -10,14 +10,16 @@ offline-optimum misses.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .guard import InvariantViolation, PhaseReport, phase_report, phase_stats_csv
+from .guard import InvariantViolation, phase_report, phase_stats_csv
 from .oracle import opt_cost
 from .policy import RunResult, build_policy, simulate
 from .predict import (
@@ -70,18 +72,16 @@ class ExperimentConfig:
     assert_invariants: bool = False
 
     def resolved_k(self) -> int:
-        k = self.k if self.k is not None else DEFAULT_K.get(self.format)
-        if k is None:
-            raise ValueError(f"unknown trace format {self.format!r}")
+        if self.format not in DEFAULT_K:
+            raise ValueError(
+                f"unknown trace format {self.format!r}; expected one of {sorted(DEFAULT_K)}"
+            )
+        k = self.k if self.k is not None else DEFAULT_K[self.format]
         if k < 1:
             raise ValueError("k must be >= 1")
         return k
 
     def validate(self) -> None:
-        if self.format not in DEFAULT_K:
-            raise ValueError(
-                f"unknown trace format {self.format!r}; expected one of {sorted(DEFAULT_K)}"
-            )
         self.resolved_k()
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
@@ -95,24 +95,20 @@ class ExperimentConfig:
 
 def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
     """Read the configured source into labelled sub-traces."""
+    k = config.resolved_k()  # also rejects an unknown format
     text = Path(config.trace).read_text()
     fmt = config.format
     if fmt == "plain":
         return [("trace", parse_plain_trace(text))]
     if fmt == "brightkite":
-        pairs = ingest_brightkite(text, cache_size=config.resolved_k())
+        pairs = ingest_brightkite(text, cache_size=k)
         if not pairs:
             raise ValueError("no user in the check-in file has enough distinct locations")
         return [(f"user:{user}", tr) for user, tr in pairs]
     if fmt == "citi":
         return [("citi", ingest_citibike(text))]
-    if fmt == "addr":
-        ways = config.k if config.k is not None else DEFAULT_K["addr"]
-        sets = ingest_address_trace(text, SetAssociativeConfig(ways=ways))
-        if not sets:
-            raise ValueError("address trace produced no cache sets")
-        return [(f"set:{idx}", tr) for idx, tr in sorted(sets.items())]
-    raise ValueError(f"unknown trace format {fmt!r}")
+    sets = ingest_address_trace(text, SetAssociativeConfig(ways=k))  # fmt == "addr"
+    return [(f"set:{idx}", tr) for idx, tr in sorted(sets.items())]
 
 
 def parse_pred_spec(spec: str) -> tuple[str, dict[str, str]]:
@@ -181,21 +177,13 @@ _PRIMARY_PARAM = {
 }
 
 
-def build_bundle(
-    name: str, params: dict[str, str], trace: Trace, k: int, seed: int
-) -> PredictionBundle | None:
-    try:
-        ctor, _ = _PREDICTORS[name]
-    except KeyError:
-        raise ValueError(f"unknown predictor {name!r}") from None
-    return None if ctor is None else ctor(trace, k, params, seed)
-
-
 class _OptCache:
     """Offline-optimum miss counts keyed by (trace digest, k).
 
     Always memoised in memory; persisted to a JSON file when the cache
-    directory environment variable is set.
+    directory environment variable is set. The file is replaced atomically,
+    and a file that cannot be read or written gives a `RuntimeWarning`, after
+    which the run goes on with the optimum it computed.
     """
 
     def __init__(self):
@@ -207,8 +195,9 @@ class _OptCache:
             if self._path.exists():
                 try:
                     self._mem.update(json.loads(self._path.read_text()))
-                except (OSError, ValueError):
-                    pass
+                except (OSError, ValueError, TypeError) as exc:  # TypeError: not an object
+                    warnings.warn(f"cannot read optimum cache {self._path}: {exc}",
+                                  RuntimeWarning)
 
     def get(self, trace: Trace, k: int) -> int:
         key = f"{trace.digest}:{k}"
@@ -217,12 +206,19 @@ class _OptCache:
             opt = opt_cost(trace, k)
             self._mem[key] = opt
             if self._path is not None:
-                try:
-                    self._path.parent.mkdir(parents=True, exist_ok=True)
-                    self._path.write_text(json.dumps(self._mem))
-                except OSError:
-                    pass
+                self._save(self._path)
         return opt
+
+    def _save(self, path: Path) -> None:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(self._mem))
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            warnings.warn(f"cannot write optimum cache {path}: {exc}", RuntimeWarning)
 
 
 _opt_cache = _OptCache()
@@ -243,7 +239,6 @@ class RunTable:
     config: ExperimentConfig
     rows: list[dict]
     results: list[RunResult]
-    phase_reports: list[tuple[str, PhaseReport]]
 
     def mean_ratios(self) -> dict[str, float]:
         """Aggregate mean ratio per sweep-point, keyed by the param column."""
@@ -277,6 +272,39 @@ def resolve_out(path: str | Path) -> Path:
     return path
 
 
+def replay_subtrace(
+    config: ExperimentConfig,
+    k: int,
+    label: str,
+    trace: Trace,
+    bundle: PredictionBundle | None,
+    seed: int,
+    param: str,
+) -> tuple[RunResult, dict[str, float], str]:
+    """Replay one sub-trace under one seed.
+
+    Returns the result, the record that `run` sums per seed (misses, opt,
+    `wall_ms`, plus `eta_t`, `eta_b` and the FITF wrong answers and queries
+    when there is a bundle), and this run's `.phases.csv` section ("" if none).
+    """
+    opt = _opt_cache.get(trace, k)
+    result = simulate(build_policy(config.policy), trace, k, bundle, seed=seed, opt_misses=opt)
+    record = {"misses": result.misses, "opt": opt, "wall_ms": result.wall_ms}
+    if bundle is not None:
+        err = measure_error(bundle, trace, k=k)
+        record.update(eta_t=err.eta_t, eta_b=err.eta_b, fitf_wrong=err.eta_f,
+                      fitf_queries=bundle.fitf_queries)
+    section = ""
+    if result.phase_stats is not None and (config.assert_invariants or config.phase_stats):
+        report = phase_report(result)
+        where = f"{label} seed={seed} param={param}"
+        if config.assert_invariants and report.violations:
+            raise InvariantViolation(f"{where}: " + "; ".join(report.violations))
+        if config.phase_stats:
+            section = f"# {where}\n" + phase_stats_csv(report.phases)
+    return result, record, section
+
+
 def run(config: ExperimentConfig) -> RunTable:
     """Execute the experiment: every sweep point, every seed, every sub-trace.
 
@@ -289,104 +317,50 @@ def run(config: ExperimentConfig) -> RunTable:
     traces = load_traces(config)
     k = config.resolved_k()
     pred_name, pred_params = parse_pred_spec(config.pred)
-    seeded = pred_name in _PREDICTORS and _PREDICTORS[pred_name][1]
-    if config.sweep is not None:
-        sweep_key, sweep_values = parse_sweep(config.sweep)
-        points = [(sweep_key, v) for v in sweep_values]
-    else:
-        points = [(None, None)]
+    ctor, seeded = _PREDICTORS[pred_name]
+    sweep_key, sweep_values = (None, [None]) if config.sweep is None else parse_sweep(config.sweep)
 
-    opts = {label: _opt_cache.get(tr, k) for label, tr in traces}
     rows: list[dict] = []
     results: list[RunResult] = []
-    phase_reports: list[tuple[str, PhaseReport]] = []
-    phase_sections: list[str] = []
-
-    has_bundle = pred_name != "none"
-    for key, value in points:
+    sections: list[str] = []
+    for value in sweep_values:
         params = dict(pred_params)
-        if key is not None:
-            params[key] = value
-        param_col = value if value is not None else params.get(_PRIMARY_PARAM.get(pred_name, ""), "")
-        shared: dict[str, PredictionBundle | None] = {}
-        point_rows: list[dict] = []
+        if sweep_key is not None:
+            params[sweep_key] = value
+        param = value if value is not None else params.get(_PRIMARY_PARAM.get(pred_name, ""), "")
+        fixed = {"policy": config.policy, "predictor": pred_name, "param": param}
+        bundles: dict[str, PredictionBundle | None] = {}
+        seed_rows: list[dict] = []
         for seed in config.seeds:
-            misses = opt = 0
-            eta_t = eta_f_wrong = eta_f_queries = 0.0
-            eta_b = 0
-            wall = 0.0
+            records = []
             for label, tr in traces:
-                if seeded or label not in shared:
-                    bundle = build_bundle(pred_name, params, tr, k, seed)
-                    if not seeded:
-                        shared[label] = bundle
-                else:
-                    bundle = shared[label]
-                policy = build_policy(config.policy)
-                result = simulate(policy, tr, k, bundle, seed=seed, opt_misses=opts[label])
-                misses += result.misses
-                opt += result.opt_misses
-                wall += result.wall_ms
+                if seeded or label not in bundles:
+                    bundles[label] = None if ctor is None else ctor(tr, k, params, seed)
+                result, record, section = replay_subtrace(
+                    config, k, label, tr, bundles[label], seed, param)
                 results.append(result)
-                if bundle is not None:
-                    err = measure_error(bundle, tr, k=k)
-                    eta_t += err.eta_t
-                    eta_b += err.eta_b
-                    eta_f_wrong += err.eta_f
-                    eta_f_queries += bundle.fitf_queries
-                if result.phase_stats is not None:
-                    report = phase_report(result)
-                    phase_reports.append((label, report))
-                    if config.assert_invariants and report.violations:
-                        raise InvariantViolation(
-                            f"{label} seed={seed} param={param_col}: "
-                            + "; ".join(report.violations)
-                        )
-                    if config.phase_stats:
-                        phase_sections.append(
-                            f"# {label} seed={seed} param={param_col}\n"
-                            + phase_stats_csv(report.phases)
-                        )
-            point_rows.append({
-                "policy": config.policy,
-                "predictor": pred_name,
-                "param": param_col,
-                "seed": seed,
-                "misses": misses,
-                "opt": opt,
-                "ratio": misses / opt,
-                "eta_t": eta_t if has_bundle else None,
-                "eta_b": eta_b if has_bundle else None,
-                "eta_f": (eta_f_wrong / eta_f_queries if eta_f_queries else 0.0)
-                         if has_bundle else None,
-                "wall_ms": wall,
-            })
-        mean = {
-            "policy": config.policy,
-            "predictor": pred_name,
-            "param": param_col,
-            "seed": "mean",
-            "misses": _mean(point_rows, "misses"),
-            "opt": _mean(point_rows, "opt"),
-            "ratio": _mean(point_rows, "ratio"),
-            "eta_t": _mean(point_rows, "eta_t") if has_bundle else None,
-            "eta_b": _mean(point_rows, "eta_b") if has_bundle else None,
-            "eta_f": _mean(point_rows, "eta_f") if has_bundle else None,
-            "wall_ms": _mean(point_rows, "wall_ms"),
-        }
-        rows.extend(point_rows)
+                records.append(record)
+                sections.append(section)
+            total = {key: sum(r[key] for r in records) for key in records[0]}
+            row = dict(fixed, seed=seed, ratio=total["misses"] / total["opt"], **total)
+            if "fitf_queries" in total:  # the error columns stay empty without a bundle
+                row["eta_f"] = total["fitf_wrong"] / (total["fitf_queries"] or 1)
+            seed_rows.append({col: row.get(col) for col in CSV_COLUMNS})
+        mean = dict(fixed, seed="mean")
+        for col in CSV_COLUMNS:
+            if col not in mean:
+                values = [row[col] for row in seed_rows]
+                mean[col] = None if values[0] is None else sum(values) / len(values)
+        rows += seed_rows
         rows.append(mean)
 
-    table = RunTable(config=config, rows=rows, results=results, phase_reports=phase_reports)
+    table = RunTable(config=config, rows=rows, results=results)
+    phases = "".join(sections)
     if config.out is not None:
         out_path = table.write_csv(config.out)
-        if config.phase_stats and phase_sections:
-            Path(str(out_path) + ".phases.csv").write_text("".join(phase_sections))
+        if phases:
+            Path(str(out_path) + ".phases.csv").write_text(phases)
     return table
-
-
-def _mean(rows: list[dict], col: str) -> float:
-    return sum(row[col] for row in rows) / len(rows)
 
 
 @dataclass

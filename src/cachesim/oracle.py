@@ -60,5 +60,12 @@ def opt_cost(trace: Trace, k: int) -> int:
 
 
 def belady_labels(trace: Trace, k: int) -> list[int]:
-    """Per-request binary eviction labels of the offline optimum."""
-    return belady_simulate(trace, k).labels
+    """Per-request binary eviction labels of the offline optimum.
+
+    Computed once per (trace, k) and kept on the trace; every call returns a
+    fresh list, so no caller can change the labels another caller sees.
+    """
+    labels = trace._labels.get(k)
+    if labels is None:
+        labels = trace._labels[k] = tuple(belady_simulate(trace, k).labels)
+    return list(labels)

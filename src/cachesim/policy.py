@@ -394,8 +394,6 @@ class RunResult:
     opt_misses: int | None
     seed: int
     wall_ms: float
-    predictor: str = ""
-    param: float | str | None = None
     phase_stats: list | None = None
 
     @property

@@ -19,7 +19,10 @@ PageId = int
 
 def compute_next_occurrence(requests: Sequence) -> list[int]:
     """Next-occurrence index for every request, sentinel n+1, in one backward pass."""
-    pages = [int(r) for r in requests]
+    return _next_occurrence([int(r) for r in requests])
+
+
+def _next_occurrence(pages: list[PageId]) -> list[int]:
     n = len(pages)
     nxt = [0] * n
     last_seen: dict[PageId, int] = {}
@@ -33,7 +36,7 @@ def compute_next_occurrence(requests: Sequence) -> list[int]:
 class Trace:
     """Immutable page-request sequence with precomputed next-occurrence times."""
 
-    __slots__ = ("pages", "next_occurrence", "universe_size", "_occ", "_digest")
+    __slots__ = ("pages", "next_occurrence", "universe_size", "_occ", "_digest", "_labels")
 
     def __init__(self, pages: Iterable[PageId]):
         pages = [int(p) for p in pages]
@@ -42,10 +45,12 @@ class Trace:
         if min(pages) < 0:
             raise ValueError("page ids must be non-negative integers")
         self.pages: list[PageId] = pages
-        self.next_occurrence: list[int] = compute_next_occurrence(pages)
+        self.next_occurrence: list[int] = _next_occurrence(pages)
         self.universe_size: int = len(set(pages))
         self._occ: dict[PageId, list[int]] | None = None
         self._digest: str | None = None
+        # the optimum's eviction labels per cache size, kept by `oracle.belady_labels`
+        self._labels: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.pages)

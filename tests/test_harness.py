@@ -22,7 +22,7 @@ from cachesim import (
     save_bundle_csv,
     simulate,
 )
-from cachesim import cli, harness
+from cachesim import cli, harness, oracle
 from cachesim.harness import _OptCache, parse_pred_spec, parse_sweep, resolve_out
 from cachesim.policy import POLICY_FACTORIES
 from cachesim.trace import parse_plain_trace
@@ -151,6 +151,52 @@ def test_opt_cache_persists_when_directed(plain_trace, tmp_path, monkeypatch):
     fresh = _OptCache()
     tr = parse_plain_trace(PLAIN)
     assert fresh.get(tr, 2) == table.rows[0]["opt"]
+
+
+@pytest.mark.parametrize("corrupt", ["{not json", "[1]"])
+def test_corrupt_opt_cache_warns_and_is_replaced(corrupt, plain_trace, tmp_path, monkeypatch):
+    cache_file = tmp_path / "opt_cache.json"
+    cache_file.write_text(corrupt)
+    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="opt_cache.json"):
+        monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    table = run(ExperimentConfig(trace=plain_trace, k=2))
+    assert list(json.loads(cache_file.read_text()).values()) == [table.rows[0]["opt"]]
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_unwritable_opt_cache_warns_and_keeps_results(plain_trace, tmp_path, monkeypatch):
+    monkeypatch.delenv(harness.CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    config = dict(trace=plain_trace, k=2, policy="guard:marker", seeds=[0, 1])
+    uncached = run(ExperimentConfig(**config))
+    not_a_dir = tmp_path / "regular_file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(not_a_dir))
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    with pytest.warns(RuntimeWarning, match="regular_file"):
+        table = run(ExperimentConfig(**config))
+    assert _strip_wall(table.to_csv()) == _strip_wall(uncached.to_csv())
+
+
+def test_label_sweep_runs_belady_once_per_trace_and_k(monkeypatch):
+    calls = []
+    belady_simulate = oracle.belady_simulate
+
+    def counted(trace, k, **kwargs):
+        calls.append(k)
+        return belady_simulate(trace, k, **kwargs)
+
+    monkeypatch.delenv(harness.CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    monkeypatch.setattr(oracle, "belady_simulate", counted)
+    table = run(ExperimentConfig(trace=DATA / "brightkite_sample.tsv", format="brightkite",
+                                 k=10, policy="guard:lrb", pred="binary",
+                                 sweep="p_flip=0,0.5,1", seeds=[0, 1]))
+    users = len(table.results) // 6
+    assert users == 3
+    # one optimum and one set of labels per user, however many replays
+    assert len(calls) == 2 * users
 
 
 def test_parse_pred_spec():

@@ -59,7 +59,11 @@ def test_inverted_nrt_reverses_order():
 
 def test_perfect_labels_match_offline_evictions():
     tr = Trace([0, 1, 2, 1, 0])
-    assert perfect_labels(tr, 2).labels == belady_labels(tr, 2) == [1, 0, 1, 0, 0]
+    bundle = perfect_labels(tr, 2)
+    assert bundle.labels == belady_labels(tr, 2) == [1, 0, 1, 0, 0]
+    bundle.labels[0] = 0  # each caller gets its own copy of the trace's labels
+    assert belady_labels(tr, 2) == [1, 0, 1, 0, 0]
+    assert measure_error(bundle, tr, k=2).eta_b == 1
 
 
 def test_flip_labels_extremes():
