@@ -110,7 +110,8 @@ class GuardPolicy(Policy):
         (this reset happens before the re-request check below);
     (b) if the missed page was evicted earlier this phase, the victim is a
         uniform draw from `unrequested` and the page becomes guarded;
-    (c) otherwise the base policy picks the victim among unguarded pages.
+    (c) otherwise the base policy picks the victim among unguarded pages:
+        the guarded set is handed to it as the context's `excluded` pages.
 
     Structural invariants (checked on every event, violations raise): guarded
     pages are never evicted mid-phase, the guarded set stays disjoint from
@@ -124,6 +125,9 @@ class GuardPolicy(Policy):
         self.base = base
         self.name = f"guard:{base.name}"
         self.requires = base.requires
+
+    def victim_order(self, trace, bundle):
+        return self.base.victim_order(trace, bundle)
 
     def begin_run(self, trace, k, bundle, rng):
         self.base.begin_run(trace, k, bundle, rng)
@@ -156,7 +160,7 @@ class GuardPolicy(Policy):
 
     def choose_victim(self, ctx, rng):
         page = ctx.requested
-        if not len(self.unrequested):
+        if not self.unrequested._items:
             self._close_phase(ctx.cached)
         old = self.old_pages
         if page in self.evicted_this_phase:
@@ -179,12 +183,12 @@ class GuardPolicy(Policy):
                 )
             guarded = self.guarded
             if guarded:
-                saved = ctx.candidates
-                ctx.candidates = saved - guarded
+                saved = ctx.excluded
+                ctx.excluded = saved | guarded if saved else guarded
                 try:
                     victim = self.base.choose_victim(ctx, rng)
                 finally:
-                    ctx.candidates = saved
+                    ctx.excluded = saved
                 if victim in guarded:
                     raise InvariantViolation(
                         f"base policy {self.base.name!r} chose guarded page {victim!r}"
@@ -202,7 +206,10 @@ class GuardPolicy(Policy):
         return victim
 
     def on_request(self, page, now, hit):
-        self.unrequested.discard(page)
+        # most requests are for a page already touched this phase, so test
+        # membership before paying for the call
+        if page in self.unrequested._pos:
+            self.unrequested.discard(page)
         if page not in self.old_pages:
             self._new_requested.add(page)
             if not hit:
@@ -218,7 +225,8 @@ class GuardPolicy(Policy):
     def on_evict(self, page):
         if page in self.guarded:
             raise InvariantViolation(f"guarded page {page!r} evicted mid-phase")
-        self.unrequested.discard(page)
+        if page in self.unrequested._pos:
+            self.unrequested.discard(page)
         self.evicted_this_phase.add(page)
         self.base.on_evict(page)
 

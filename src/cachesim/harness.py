@@ -89,8 +89,12 @@ class ExperimentConfig:
         name, params = parse_pred_spec(self.pred)
         if name not in _PREDICTORS:
             raise ValueError(f"unknown predictor {name!r}; expected one of {sorted(_PREDICTORS)}")
+        given = set(params)
         if self.sweep is not None:
-            parse_sweep(self.sweep)
+            given.add(parse_sweep(self.sweep)[0])
+        for key in _REQUIRED_PARAMS.get(name, ()):
+            if key not in given:
+                raise ValueError(f"predictor {name!r} needs parameter {key!r} ({name}:{key}=...)")
 
 
 def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
@@ -170,6 +174,9 @@ _PREDICTORS = {
     ),
     "csv": (lambda tr, k, p, s: load_bundle_csv(p["path"]), False),
 }
+
+# Parameters a predictor cannot do without, from the spec or the sweep.
+_REQUIRED_PARAMS = {"csv": ("path",)}
 
 _PRIMARY_PARAM = {
     "nrt": "sigma", "binary": "p_flip", "fitf": "epsilon",

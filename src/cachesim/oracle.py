@@ -2,15 +2,17 @@
 
 Belady's rule evicts the cached page whose next request lies furthest in the
 future. Ties (possible only among pages that are never requested again) are
-broken least-recently-used first, then larger page id. Every eviction marks
-the evicted page's most recent request with a binary label 1: the request was
-for a page the optimum later dropped before its next use ("1-page"); requests
-whose page survives in cache until its next request (or the end) are 0-pages.
+broken least-recently-used first; no two cached pages share a last request,
+so that settles every tie. Every eviction marks the evicted page's most
+recent request with a binary label 1: the request was for a page the optimum
+later dropped before its next use ("1-page"); requests whose page survives
+in cache until its next request (or the end) are 0-pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .trace import PageId, Trace
 
@@ -26,29 +28,41 @@ class BeladyOutcome:
 
 
 def belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> BeladyOutcome:
-    """Serve the trace with Belady's rule on a k-slot cache."""
+    """Serve the trace with Belady's rule on a k-slot cache.
+
+    Victims come from a lazy-deletion min-heap of `(-next request, request
+    index, page)`, one entry per request, the order `EvictionContext` keeps
+    for value-ordered policies: an entry is live while its page is cached and
+    was last requested at its index. The heap is rebuilt from the cache when
+    it grows past 4k entries.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     pages = trace.pages
     nxt = trace.next_occurrence
-    cache: dict[PageId, int] = {}  # page -> next request index
-    last_used: dict[PageId, int] = {}
+    cache: dict[PageId, int] = {}  # page -> index of its last request
+    heap: list[tuple[int, int, PageId]] = []
+    limit = 4 * k
     labels = [0] * len(pages)
     events: list[tuple[int, PageId]] = []
     states: list[frozenset] | None = [] if collect_states else None
     misses = 0
     for i, p in enumerate(pages, 1):
-        if p in cache:
-            cache[p] = nxt[i - 1]
-        else:
+        if p not in cache:
             misses += 1
             if len(cache) == k:
-                victim = max(cache, key=lambda q: (cache[q], -last_used[q], q))
-                labels[last_used[victim] - 1] = 1
+                while True:
+                    _, t, victim = heappop(heap)
+                    if cache.get(victim) == t:
+                        break
+                labels[t - 1] = 1
                 events.append((i, victim))
                 del cache[victim]
-            cache[p] = nxt[i - 1]
-        last_used[p] = i
+        cache[p] = i
+        heappush(heap, (-nxt[i - 1], i, p))
+        if len(heap) > limit:
+            heap = [(-nxt[t - 1], t, q) for q, t in cache.items()]
+            heapify(heap)
         if states is not None:
             states.append(frozenset(cache))
     return BeladyOutcome(misses, events, labels, states)

@@ -6,14 +6,21 @@ engine, `EvictionContext`, replays every run: `simulate` drives one over the
 whole trace, and each switching combiner drives one per sub-policy, a request
 at a time. The engine owns the cache set, per-page recency, and the
 prediction value attached to each page at its most recent request, and it is
-itself the context that `choose_victim` receives; policies only pick victims
-from the candidate set it offers.
+itself the context that `choose_victim` receives. A policy may evict any
+cached page outside the context's `excluded` set; the guard passes its
+shielded pages there. A policy that evicts the page with the largest value
+attached at its last request (`blind_oracle`, `belady`) names those values in
+`victim_order`; the engine then keeps a heap of them, and the policy takes
+its victim in O(log k) from `furthest`, which skips excluded pages. Every
+other policy scans `candidates`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
@@ -31,15 +38,26 @@ class EvictionContext:
     context handed to that policy's `choose_victim`.
 
     Policies read `now` (index of the request that missed), `requested` (its
-    page), `cached`, `candidates` (the pages they may evict), `predictions`
-    (the bundle), `last_prediction_of` and `last_used`. These are the
-    engine's live state: policies only read them, except that a wrapper may
-    narrow `candidates` for a delegated call and restores it before returning.
+    page), `cached`, `excluded` (cached pages they must not evict),
+    `candidates` (the cached pages outside `excluded`), `predictions` (the
+    bundle), `last_prediction_of` and `last_used`. These are the engine's live
+    state: policies only read them, except that a wrapper may set `excluded`
+    for a delegated call and restores it before returning.
+
+    When the policy names a `victim_order`, the engine pushes
+    `(-value, index, page)` for every request onto a min-heap once the cache
+    and `last_used` are updated. An entry is live while its page is cached and
+    was last requested at its index; others are dropped when they reach the
+    top. The heap's top live entry is the page with the largest value, the
+    least recently used among equal values (indices are unique, so live keys
+    never tie). It is rebuilt from the cache when it grows past 4k entries,
+    so it holds O(k) entries.
     """
 
-    __slots__ = ("now", "requested", "cached", "candidates", "predictions",
+    __slots__ = ("now", "requested", "cached", "excluded", "predictions",
                  "last_prediction_of", "last_used", "policy", "k", "rng", "misses",
-                 "served", "last_evict_t", "last_evict_victim", "_pages", "_vals", "_calls")
+                 "served", "last_evict_t", "last_evict_victim", "rebuilds",
+                 "_pages", "_vals", "_order", "_heap", "_calls")
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
                  bundle: PredictionBundle | None, rng: np.random.Generator):
@@ -50,7 +68,7 @@ class EvictionContext:
         self.now = 0
         self.requested = -1
         self.cached: set[PageId] = set()
-        self.candidates = self.cached
+        self.excluded: set[PageId] | frozenset = frozenset()
         self.predictions = bundle
         self.last_prediction_of: dict[PageId, int] = {}
         self.last_used: dict[PageId, int] = {}
@@ -58,6 +76,7 @@ class EvictionContext:
         self.served = 0
         self.last_evict_t = 0
         self.last_evict_victim: PageId | None = None
+        self.rebuilds = 0
         self._pages = trace.pages
         # bound once per run, since a combiner lane calls advance() per request
         self._calls = (policy.on_request if policy.needs_request_hook else None,
@@ -68,6 +87,13 @@ class EvictionContext:
                 self._vals = bundle.nrt
             elif bundle.kind is PredictionKind.BINARY:
                 self._vals = bundle.labels
+        self._order = policy.victim_order(trace, bundle)
+        self._heap: list | None = None if self._order is None else []
+
+    @property
+    def candidates(self) -> set[PageId]:
+        """The cached pages the policy may evict."""
+        return self.cached - self.excluded if self.excluded else self.cached
 
     def advance(self, until: int) -> None:
         """Serve every request after the last one served, up to index `until`."""
@@ -77,6 +103,8 @@ class EvictionContext:
         last_used = self.last_used
         page_pred = self.last_prediction_of
         vals = self._vals
+        order, heap = self._order, self._heap
+        limit = 4 * k
         hook, choose, on_evict = self._calls
         misses = self.misses
         # kept in locals and stored once per call: an attribute store on every
@@ -108,9 +136,39 @@ class EvictionContext:
                 last_used[p] = i
                 if hook is not None:
                     hook(p, i, False)
+            if heap is not None:
+                heappush(heap, (-order[i - 1], i, p))
+                if len(heap) > limit:
+                    heap[:] = [(-order[last_used[q] - 1], last_used[q], q) for q in cache]
+                    heapify(heap)
+                    self.rebuilds += 1
         self.served = i
         self.misses = misses
         self.last_evict_t, self.last_evict_victim = evict_t, evict_victim
+
+    def furthest(self) -> PageId:
+        """The cached page outside `excluded` with the largest value in the
+        policy's `victim_order`, least recently used first among equals.
+
+        Pops dead entries for good; live excluded ones are pushed back.
+        """
+        heap, cache, last_used, excluded = self._heap, self.cached, self.last_used, self.excluded
+        held = []
+        try:
+            while heap:
+                entry = heap[0]
+                p = entry[2]
+                if last_used[p] == entry[1] and p in cache:
+                    if p not in excluded:
+                        return p
+                    held.append(entry)
+                heappop(heap)
+        finally:
+            for entry in held:
+                heappush(heap, entry)
+        raise ContractViolation(
+            f"{self.policy.name} found no evictable page at t={self.now}"
+        )
 
 
 class Policy:
@@ -124,6 +182,14 @@ class Policy:
     def begin_run(self, trace: Trace, k: int, bundle: PredictionBundle | None,
                   rng: np.random.Generator) -> None:
         """Called once before the first request of a run."""
+
+    def victim_order(self, trace: Trace,
+                     bundle: PredictionBundle | None) -> Sequence[float] | None:
+        """Per-request values for a policy that evicts the page with the
+        largest value attached at its last request, so that the engine keeps
+        them in a heap for `EvictionContext.furthest`; None for a policy that
+        scans its candidates."""
+        return None
 
     def choose_victim(self, ctx: EvictionContext, rng: np.random.Generator) -> PageId:
         raise NotImplementedError
@@ -169,35 +235,33 @@ class MarkerPolicy(Policy):
         self.marked.discard(page)
 
 
-class BeladyPolicy(Policy):
+class _FurthestValuePolicy(Policy):
+    """Evicts the candidate with the largest value in `victim_order`; ties
+    break least-recently-used first."""
+
+    def choose_victim(self, ctx, rng):
+        return ctx.furthest()
+
+
+class BeladyPolicy(_FurthestValuePolicy):
     """Offline baseline: evicts the true furthest-in-the-future candidate."""
 
     name = "belady"
 
-    def begin_run(self, trace, k, bundle, rng):
-        self._nxt = trace.next_occurrence
-
-    def choose_victim(self, ctx, rng):
-        nxt = self._nxt
-        lu = ctx.last_used
-        return max(ctx.candidates, key=lambda p: (nxt[lu[p] - 1], -lu[p], p))
+    def victim_order(self, trace, bundle):
+        return trace.next_occurrence
 
 
-class BlindOraclePolicy(Policy):
+class BlindOraclePolicy(_FurthestValuePolicy):
     """Trusts next-request-time predictions outright: evicts the candidate
     whose prediction (attached at its most recent request) is largest.
-    Ties break least-recently-used first, then larger page id."""
+    Ties break least-recently-used first."""
 
     name = "blind_oracle"
     requires = PredictionKind.NRT
 
-    def choose_victim(self, ctx, rng):
-        pred = ctx.last_prediction_of
-        lu = ctx.last_used
-        try:
-            return max(ctx.candidates, key=lambda p: (pred[p], -lu[p], p))
-        except KeyError as exc:
-            raise ContractViolation(f"no prediction attached for cached page {exc}") from None
+    def victim_order(self, trace, bundle):
+        return bundle.nrt
 
 
 class LRBFollowerPolicy(Policy):

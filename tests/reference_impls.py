@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: quadratic scans and direct
 simulations that can be checked by eye, so the package's optimized versions
-have something independent to agree with. The exact oracles (exhaustive
+have something independent to agree with. The `max`-based victim choices of
+`belady`, `blind_oracle` and the offline optimum, which the package replaced
+with heaps, are kept here as the rules those heaps must reproduce. The exact oracles (exhaustive
 optimum, current 1-pages, the random 1-page policy) and the request and
 occurrence helpers live here too, because only the tests use them.
 """
@@ -16,7 +18,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from cachesim import PageId, Trace
+from cachesim import PageId, Policy, PredictionKind, Trace
+from cachesim.oracle import BeladyOutcome
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,57 @@ def random_trace(rng: np.random.Generator, n: int, universe: int,
         else:
             pages.append(p)
     return Trace(pages[:n])
+
+
+class MaxBeladyPolicy(Policy):
+    """`belady` by a scan of every candidate on each eviction."""
+
+    name = "belady"
+
+    def begin_run(self, trace, k, bundle, rng):
+        self._nxt = trace.next_occurrence
+
+    def choose_victim(self, ctx, rng):
+        nxt = self._nxt
+        lu = ctx.last_used
+        return max(ctx.candidates, key=lambda p: (nxt[lu[p] - 1], -lu[p], p))
+
+
+class MaxBlindOraclePolicy(Policy):
+    """`blind_oracle` by a scan of every candidate on each eviction."""
+
+    name = "blind_oracle"
+    requires = PredictionKind.NRT
+
+    def choose_victim(self, ctx, rng):
+        pred = ctx.last_prediction_of
+        lu = ctx.last_used
+        return max(ctx.candidates, key=lambda p: (pred[p], -lu[p], p))
+
+
+def max_belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> BeladyOutcome:
+    """`belady_simulate` by a scan of the whole cache on each eviction."""
+    pages = trace.pages
+    nxt = trace.next_occurrence
+    cache: dict[PageId, int] = {}  # page -> next request index
+    last_used: dict[PageId, int] = {}
+    labels = [0] * len(pages)
+    events: list[tuple[int, PageId]] = []
+    states: list[frozenset] | None = [] if collect_states else None
+    misses = 0
+    for i, p in enumerate(pages, 1):
+        if p not in cache:
+            misses += 1
+            if len(cache) == k:
+                victim = max(cache, key=lambda q: (cache[q], -last_used[q], q))
+                labels[last_used[victim] - 1] = 1
+                events.append((i, victim))
+                del cache[victim]
+        cache[p] = nxt[i - 1]
+        last_used[p] = i
+        if states is not None:
+            states.append(frozenset(cache))
+    return BeladyOutcome(misses, events, labels, states)
 
 
 def fitf_page(

@@ -183,6 +183,7 @@ def test_criterion_1_offline_optimum_is_exact():
     assert elapsed < 60
 
 
+@pytest.mark.slow
 def test_criterion_2_exact_predictions_cost_the_optimum(consistency_batch):
     mismatches = consistency_batch["mismatches"]
     occupancy = consistency_batch["occupancy"]
@@ -214,6 +215,7 @@ def test_criterion_3_randomized_compliant_evictions_match_opt():
     assert mismatches == 0
 
 
+@pytest.mark.slow
 def test_criterion_4_guard_bounds_an_unbounded_follower(separation_batch):
     raw = separation_batch["raw"]
     guard = separation_batch["guard"]
@@ -226,6 +228,7 @@ def test_criterion_4_guard_bounds_an_unbounded_follower(separation_batch):
         assert g <= bound
 
 
+@pytest.mark.slow
 def test_criterion_5_worst_case_ratio_envelope(envelope_batch):
     cells = envelope_batch["cells"]
     elapsed = envelope_batch["elapsed"]
@@ -241,6 +244,7 @@ def test_criterion_5_worst_case_ratio_envelope(envelope_batch):
     assert elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_6_phase_counter_inequalities(
     consistency_batch, separation_batch, envelope_batch
 ):
@@ -290,6 +294,7 @@ class _AuditedGuard(GuardPolicy):
         self._audit()
 
 
+@pytest.mark.slow
 def test_criterion_7_structural_invariants(
     consistency_batch, separation_batch, envelope_batch
 ):
@@ -329,6 +334,7 @@ def test_criterion_7_structural_invariants(
     assert disjointness_failures == 0
 
 
+@pytest.mark.slow
 def test_criterion_8_wrapper_overhead_and_scaling():
     rng = np.random.default_rng(2024)
     pages = rng.integers(0, 120, size=1_000_000).tolist()

@@ -96,6 +96,19 @@ def test_csv_predictor_source(plain_trace, tmp_path):
     table = run(ExperimentConfig(trace=plain_trace, k=2, policy="blind_oracle",
                                  pred=f"csv:path={bundle_path}"))
     assert table.rows[0]["ratio"] == 1.0
+    # the path may also come from the sweep
+    table = run(ExperimentConfig(trace=plain_trace, k=2, policy="blind_oracle",
+                                 pred="csv", sweep=f"path={bundle_path}"))
+    assert table.rows[0]["ratio"] == 1.0
+
+
+def test_csv_predictor_without_path_is_an_input_error(plain_trace, capsys):
+    with pytest.raises(ValueError, match="path"):
+        ExperimentConfig(trace=plain_trace, pred="csv").validate()
+    assert cli.main(["--trace", str(DATA / "addr_sample.txt"), "--pred", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "'path'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_brightkite_rows_sum_over_users():

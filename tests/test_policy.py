@@ -145,7 +145,8 @@ def test_engine_validates_bundle_kind_and_length():
 def test_prediction_attaches_at_most_recent_request():
     # k=1: the single cached page is always evicted, but the blind follower
     # must read the prediction written at the page's latest request, not its
-    # first. A stale read would raise KeyError -> ContractViolation instead.
+    # first. An entry keyed by a stale request leaves the heap with no live
+    # page, which raises ContractViolation instead.
     tr = Trace([0, 1, 0, 1])
     res = simulate(BlindOraclePolicy(), tr, 1, perfect_nrt(tr))
     assert res.misses == 4

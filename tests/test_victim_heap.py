@@ -1,0 +1,117 @@
+"""The heap-ordered victim choice against the `max` scans it replaced.
+
+`blind_oracle`, `belady`, `guard:blind_oracle` and `belady_simulate` pick
+their victims from a lazy-deletion heap. On random traces with perfect,
+inverted and noisy predictions, every eviction (request index and victim)
+must equal that of the scan-based reference in `reference_impls.py`, and the
+optimum's misses, labels and eviction events must equal the reference's.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cachesim import (
+    BlindOraclePolicy,
+    ContractViolation,
+    GuardPolicy,
+    Trace,
+    belady_simulate,
+    build_policy,
+    inverted_nrt,
+    perfect_nrt,
+    synthetic_nrt,
+)
+from cachesim.policy import EvictionContext
+from .reference_impls import (
+    MaxBeladyPolicy,
+    MaxBlindOraclePolicy,
+    max_belady_simulate,
+    random_trace,
+)
+
+PAIRS = (
+    ("blind_oracle", MaxBlindOraclePolicy),
+    ("belady", MaxBeladyPolicy),
+    ("guard:blind_oracle", lambda: GuardPolicy(MaxBlindOraclePolicy())),
+)
+REGIMES = {
+    "perfect": lambda tr, seed: perfect_nrt(tr),
+    "inverted": lambda tr, seed: inverted_nrt(tr),
+    "sigma1": lambda tr, seed: synthetic_nrt(tr, 1.0, seed=seed),
+}
+
+
+def eviction_log(policy, trace, k, bundle, seed):
+    """Every (request index, victim) of one run, and the engine that ran it."""
+    engine = EvictionContext(policy, trace, k, bundle, np.random.default_rng(seed))
+    log = []
+    for i in range(1, len(trace) + 1):
+        engine.advance(i)
+        if engine.last_evict_t == i:
+            log.append((i, engine.last_evict_victim))
+    return log, engine
+
+
+def check_against_reference(trace, k, bundle, seed):
+    """Assert every decision equals the reference's; return the heap rebuilds
+    and the most pages shielded at once, summed over the heap-ordered runs."""
+    rebuilds = shielded = 0
+    for spec, reference in PAIRS:
+        policy = build_policy(spec)
+        got, engine = eviction_log(policy, trace, k, bundle, seed)
+        want, _ = eviction_log(reference(), trace, k, bundle, seed)
+        assert got == want, f"{spec}: first difference at eviction " + str(
+            next(j for j, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b))
+        rebuilds += engine.rebuilds
+        shielded += getattr(policy, "max_guarded", 0)
+    collect = len(trace) * k <= 50_000
+    got = belady_simulate(trace, k, collect_states=collect)
+    want = max_belady_simulate(trace, k, collect_states=collect)
+    assert got.misses == want.misses
+    assert got.labels == want.labels
+    assert got.eviction_events == want.eviction_events
+    assert got.states == want.states
+    return rebuilds, shielded
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    k=st.sampled_from((1, 2, 3, 17, 100)),
+    spread=st.integers(0, 100),
+    regime=st.sampled_from(sorted(REGIMES)),
+)
+def test_heap_victims_match_max_reference(seed, n, k, spread, regime):
+    rng = np.random.default_rng(seed)
+    universe = k + 1 + spread * k // 100  # k+1 .. 2k+1 pages, so the cache fills
+    trace = random_trace(rng, n, universe)
+    check_against_reference(trace, k, REGIMES[regime](trace, seed), seed)
+
+
+@pytest.mark.parametrize("k", (2, 17, 100))
+@pytest.mark.parametrize("regime", ("inverted", "sigma1"))
+def test_long_runs_rebuild_the_heap_and_shield_pages(k, regime):
+    # the property above draws short traces too; these runs are long enough
+    # that each heap is rebuilt and the guard shields pages mid-phase
+    trace = random_trace(np.random.default_rng(k), 3000, k + 1 + k // 2)
+    rebuilds, shielded = check_against_reference(trace, k, REGIMES[regime](trace, 7), 7)
+    assert rebuilds > 0
+    assert shielded > 0
+
+
+def test_no_evictable_page_is_a_contract_violation():
+    trace = Trace([0, 1, 2, 0, 3])
+    policy = BlindOraclePolicy()
+    engine = EvictionContext(policy, trace, 3, perfect_nrt(trace), np.random.default_rng(0))
+    engine.advance(4)
+    engine.excluded = set(engine.cached)
+    with pytest.raises(ContractViolation):
+        policy.choose_victim(engine, engine.rng)
+    # the shielded entries went back on the heap
+    engine.excluded = {1}
+    assert engine.furthest() == 2
