@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .policy import Policy, RunResult
+from .policy import Policy, RunResult, uniform_index
 from .trace import PageId
 
 
@@ -46,8 +46,7 @@ class _RandomSet:
     __slots__ = ("_items", "_pos")
 
     def __init__(self, items=()):
-        self._items = list(items)
-        self._pos = {p: i for i, p in enumerate(self._items)}
+        self.reset(items)
 
     def __len__(self):
         return len(self._items)
@@ -60,7 +59,7 @@ class _RandomSet:
 
     def reset(self, items) -> None:
         self._items = list(items)
-        self._pos = {p: i for i, p in enumerate(self._items)}
+        self._pos = dict(zip(self._items, range(len(self._items))))
 
     def discard(self, page) -> None:
         idx = self._pos.pop(page, None)
@@ -75,7 +74,7 @@ class _RandomSet:
     def sample(self, rng) -> PageId:
         if not self._items:
             raise InvariantViolation("sample from empty unrequested-page set")
-        return self._items[int(rng.integers(len(self._items)))]
+        return self._items[uniform_index(rng, len(self._items))]
 
 
 @dataclass
@@ -117,6 +116,11 @@ class GuardPolicy(Policy):
     pages are never evicted mid-phase, the guarded set stays disjoint from
     `unrequested`, every miss on a snapshot page in phases >= 1 takes branch
     (b), and no new page is loaded more than twice in one phase.
+
+    `_loads` counts the loads this phase of each new page (one outside the
+    snapshot). A new page is cached only after a miss this phase, so its
+    keys are exactly the new pages requested this phase, and a phase's c_q
+    is the number of its keys.
     """
 
     needs_request_hook = True
@@ -135,25 +139,26 @@ class GuardPolicy(Policy):
         self.unrequested = _RandomSet()
         self.guarded: set[PageId] = set()
         self.evicted_this_phase: set[PageId] = set()
-        self.old_pages: frozenset[PageId] = frozenset()
+        self.old_pages: set[PageId] = set()
         self.phase = 0
         self.max_guarded = 0
         self.guard_events = 0
-        self._closed: list[PhaseStats] = []
-        self._new_requested: set[PageId] = set()
+        # closed phases as (q, c_q, n_q, o_q, n_q_new, n_q_old) tuples
+        self._closed: list[tuple[int, int, int, int, int, int]] = []
+        # loads this phase of each new page requested this phase
         self._loads: dict[PageId, int] = {}
         self._n = self._o = self._n_new = self._n_old = 0
 
+    def _current(self) -> tuple[int, int, int, int, int, int]:
+        return (self.phase, len(self._loads), self._n, self._o, self._n_new, self._n_old)
+
     def _close_phase(self, cached) -> None:
-        self._closed.append(
-            PhaseStats(self.phase, len(self._new_requested),
-                       self._n, self._o, self._n_new, self._n_old)
-        )
+        self._closed.append(self._current())
         self.guarded.clear()
-        self.old_pages = frozenset(cached)
+        self.old_pages.clear()
+        self.old_pages.update(cached)
         self.unrequested.reset(cached)
         self.evicted_this_phase.clear()
-        self._new_requested.clear()
         self._loads.clear()
         self._n = self._o = self._n_new = self._n_old = 0
         self.phase += 1
@@ -165,7 +170,7 @@ class GuardPolicy(Policy):
         old = self.old_pages
         if page in self.evicted_this_phase:
             victim = self.unrequested.sample(rng)
-            if page in self.unrequested:
+            if page in self.unrequested._pos:
                 raise InvariantViolation(
                     f"page {page!r} is both missed and marked unrequested at t={ctx.now}"
                 )
@@ -206,19 +211,19 @@ class GuardPolicy(Policy):
         return victim
 
     def on_request(self, page, now, hit):
-        # most requests are for a page already touched this phase, so test
-        # membership before paying for the call
-        if page in self.unrequested._pos:
-            self.unrequested.discard(page)
-        if page not in self.old_pages:
-            self._new_requested.add(page)
-            if not hit:
-                loads = self._loads.get(page, 0) + 1
-                if loads > 2:
-                    raise InvariantViolation(
-                        f"new page {page!r} loaded {loads} times in phase {self.phase}"
-                    )
-                self._loads[page] = loads
+        if hit:
+            # a missed page is not cached, so it cannot be unrequested; most
+            # hits are for a page already touched this phase, so test
+            # membership before paying for the call
+            if page in self.unrequested._pos:
+                self.unrequested.discard(page)
+        elif page not in self.old_pages:
+            loads = self._loads.get(page, 0) + 1
+            if loads > 2:
+                raise InvariantViolation(
+                    f"new page {page!r} loaded {loads} times in phase {self.phase}"
+                )
+            self._loads[page] = loads
         if self._base_hook is not None:
             self._base_hook(page, now, hit)
 
@@ -233,10 +238,7 @@ class GuardPolicy(Policy):
     @property
     def phase_stats(self) -> list[PhaseStats]:
         """All phases including the still-open final one."""
-        return self._closed + [
-            PhaseStats(self.phase, len(self._new_requested),
-                       self._n, self._o, self._n_new, self._n_old)
-        ]
+        return [PhaseStats(*ph) for ph in self._closed] + [PhaseStats(*self._current())]
 
 
 @dataclass

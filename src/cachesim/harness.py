@@ -185,7 +185,10 @@ _PRIMARY_PARAM = {
 
 
 class _OptCache:
-    """Offline-optimum miss counts keyed by (trace digest, k).
+    """Offline-optimum miss counts keyed by `v1:{trace digest}:{k}`.
+
+    The version prefix is raised whenever the optimum's computation changes,
+    so that a count persisted by another version is never read.
 
     Always memoised in memory; persisted to a JSON file when the cache
     directory environment variable is set. The file is replaced atomically,
@@ -207,7 +210,7 @@ class _OptCache:
                                   RuntimeWarning)
 
     def get(self, trace: Trace, k: int) -> int:
-        key = f"{trace.digest}:{k}"
+        key = f"v1:{trace.digest}:{k}"
         opt = self._mem.get(key)
         if opt is None:
             opt = opt_cost(trace, k)

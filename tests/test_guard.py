@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     GuardPolicy,
@@ -17,6 +19,7 @@ from cachesim import (
     flip_labels,
     harmonic,
     inverted_nrt,
+    noisy_fitf,
     opt_cost,
     perfect_nrt,
     phase_report,
@@ -211,3 +214,59 @@ def test_report_requires_phase_stats():
     res = simulate(LRUPolicy(), Trace([0, 1, 0]), 1)
     with pytest.raises(ValueError):
         phase_report(res)
+
+
+class _LoadsAudit(GuardPolicy):
+    """Guard wrapper that, after every request, compares the keys of
+    `_loads` with the new pages requested since the phase began, read off
+    the request stream: the pages requested at or after the request that
+    opened the phase, less the phase's `old_pages` snapshot. It also records
+    that count per phase, so the run's c_q column can be checked."""
+
+    def begin_run(self, trace, k, bundle, rng):
+        super().begin_run(trace, k, bundle, rng)
+        self.stream: list = []
+        self.phase_starts = [0]
+        self.c_q: list[int] = [0]
+        self.mismatches: list[int] = []
+
+    def on_request(self, page, now, hit):
+        super().on_request(page, now, hit)
+        if self.phase != len(self.phase_starts) - 1:  # this request opened a phase
+            self.phase_starts.append(len(self.stream))
+            self.c_q.append(0)
+        self.stream.append(page)
+        new = set(self.stream[self.phase_starts[-1]:]) - self.old_pages
+        self.c_q[-1] = len(new)
+        if set(self._loads) != new:
+            self.mismatches.append(now)
+
+
+GUARDED_BASES = {
+    "blind_oracle": lambda tr, k, s: inverted_nrt(tr) if s % 2 else synthetic_nrt(tr, 1.0, seed=s),
+    "belady": lambda tr, k, s: None,
+    "lrb": lambda tr, k, s: flip_labels(tr, k, 0.5 + 0.5 * (s % 2), seed=s),
+    "fitf": lambda tr, k, s: noisy_fitf(tr, k, 0.5 + 0.5 * (s % 2), seed=s),
+    "marker": lambda tr, k, s: None,
+    "lru": lambda tr, k, s: None,
+}
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    base=st.sampled_from(sorted(GUARDED_BASES)),
+    k=st.integers(1, 12),
+    spread=st.integers(0, 100),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**16),
+)
+def test_loads_keys_are_the_new_pages_requested_this_phase(base, k, spread, n, seed):
+    # the fact behind c_q = len(_loads); the guard's own invariant checks
+    # stay armed, so a violation fails the run
+    rng = np.random.default_rng(seed)
+    tr = random_trace(rng, n, k + 1 + spread * k // 100)
+    guard = _LoadsAudit(build_policy(base))
+    res = simulate(guard, tr, k, GUARDED_BASES[base](tr, k, seed), seed=seed, compute_opt=False)
+    assert guard.mismatches == []
+    assert guard.phase_starts[0] == 0 and len(guard.phase_starts) == guard.phase + 1
+    assert [ph.c_q for ph in res.phase_stats] == guard.c_q

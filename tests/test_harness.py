@@ -17,6 +17,7 @@ from cachesim import (
     compare,
     ingest_address_trace,
     ingest_brightkite,
+    opt_cost,
     perfect_nrt,
     run,
     save_bundle_csv,
@@ -164,6 +165,18 @@ def test_opt_cache_persists_when_directed(plain_trace, tmp_path, monkeypatch):
     fresh = _OptCache()
     tr = parse_plain_trace(PLAIN)
     assert fresh.get(tr, 2) == table.rows[0]["opt"]
+
+
+def test_opt_cache_ignores_unversioned_entries(plain_trace, tmp_path, monkeypatch):
+    # an entry keyed as before the version prefix, holding a wrong count
+    tr = parse_plain_trace(PLAIN)
+    (tmp_path / "opt_cache.json").write_text(json.dumps({f"{tr.digest}:2": 999}))
+    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    table = run(ExperimentConfig(trace=plain_trace, k=2))
+    assert table.rows[0]["opt"] == opt_cost(tr, 2) != 999
+    stored = json.loads((tmp_path / "opt_cache.json").read_text())
+    assert stored[f"v1:{tr.digest}:2"] == opt_cost(tr, 2)
 
 
 @pytest.mark.parametrize("corrupt", ["{not json", "[1]"])
