@@ -184,11 +184,15 @@ _PRIMARY_PARAM = {
 }
 
 
+_OPT_SCHEMA = "v1:"
+
+
 class _OptCache:
     """Offline-optimum miss counts keyed by `v1:{trace digest}:{k}`.
 
     The version prefix is raised whenever the optimum's computation changes,
-    so that a count persisted by another version is never read.
+    so that a count persisted by another version is never read; such counts
+    are dropped when the file is loaded, so the next save removes them.
 
     Always memoised in memory; persisted to a JSON file when the cache
     directory environment variable is set. The file is replaced atomically,
@@ -204,13 +208,16 @@ class _OptCache:
             self._path = Path(cache_dir) / "opt_cache.json"
             if self._path.exists():
                 try:
-                    self._mem.update(json.loads(self._path.read_text()))
-                except (OSError, ValueError, TypeError) as exc:  # TypeError: not an object
+                    stored = json.loads(self._path.read_text())
+                    self._mem.update((key, opt) for key, opt in stored.items()
+                                     if key.startswith(_OPT_SCHEMA))
+                # AttributeError: the file holds JSON that is not an object
+                except (OSError, ValueError, AttributeError) as exc:
                     warnings.warn(f"cannot read optimum cache {self._path}: {exc}",
                                   RuntimeWarning)
 
     def get(self, trace: Trace, k: int) -> int:
-        key = f"v1:{trace.digest}:{k}"
+        key = f"{_OPT_SCHEMA}{trace.digest}:{k}"
         opt = self._mem.get(key)
         if opt is None:
             opt = opt_cost(trace, k)

@@ -30,18 +30,20 @@ class BeladyOutcome:
 def belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> BeladyOutcome:
     """Serve the trace with Belady's rule on a k-slot cache.
 
-    Victims come from a lazy-deletion min-heap of `(-next request, request
-    index, page)`, one entry per request, the order `EvictionContext` keeps
-    for value-ordered policies: an entry is live while its page is cached and
-    was last requested at its index. The heap is rebuilt from the cache when
-    it grows past 4k entries.
+    Victims come from a lazy-deletion min-heap with one integer key per
+    request, `i - (next request) * (n + 2)`, the order `EvictionContext`
+    keeps for value-ordered policies: keys order like `(-next request, i)`,
+    and `key % (n + 2)` gives back the request index i. An entry is live while
+    its page is cached and was last requested at i. The heap is rebuilt from
+    the cache when it grows past 4k entries.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     pages = trace.pages
     nxt = trace.next_occurrence
+    m = len(pages) + 2
     cache: dict[PageId, int] = {}  # page -> index of its last request
-    heap: list[tuple[int, int, PageId]] = []
+    heap: list[int] = []
     limit = 4 * k
     labels = [0] * len(pages)
     events: list[tuple[int, PageId]] = []
@@ -52,16 +54,17 @@ def belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> Be
             misses += 1
             if len(cache) == k:
                 while True:
-                    _, t, victim = heappop(heap)
+                    t = heappop(heap) % m
+                    victim = pages[t - 1]
                     if cache.get(victim) == t:
                         break
                 labels[t - 1] = 1
                 events.append((i, victim))
                 del cache[victim]
         cache[p] = i
-        heappush(heap, (-nxt[i - 1], i, p))
+        heappush(heap, i - nxt[i - 1] * m)
         if len(heap) > limit:
-            heap = [(-nxt[t - 1], t, q) for q, t in cache.items()]
+            heap = [t - nxt[t - 1] * m for t in cache.values()]
             heapify(heap)
         if states is not None:
             states.append(frozenset(cache))

@@ -4,15 +4,16 @@ A policy sees every request through `on_request` (if it asks for the hook) and
 is consulted through `choose_victim` whenever a miss hits a full cache. One
 engine, `EvictionContext`, replays every run: `simulate` drives one over the
 whole trace, and each switching combiner drives one per sub-policy, a request
-at a time. The engine owns the cache set, per-page recency, and the
-prediction value attached to each page at its most recent request, and it is
-itself the context that `choose_victim` receives. A policy may evict any
-cached page outside the context's `excluded` set; the guard passes its
-shielded pages there. A policy that evicts the page with the largest value
-attached at its last request (`blind_oracle`, `belady`) names those values in
-`victim_order`; the engine then keeps a heap of them, and the policy takes
-its victim in O(log k) from `furthest`, which skips excluded pages. Every
-other policy scans `candidates`.
+at a time. The engine owns the cache set and per-page recency, from which a
+policy reads the prediction attached to each page at its most recent request,
+and it is itself the context that `choose_victim` receives. A policy may
+evict any cached page outside the context's `excluded` set; the guard passes
+its shielded pages there. A policy that evicts the page with the largest
+value attached at its last request (`blind_oracle`, `belady`, and `fitf` for
+its true furthest page) names those values in `victim_order`; the engine
+then keeps a heap of them, and the policy takes its victim in O(log k) from
+`furthest`, which skips excluded pages. Every other policy scans
+`candidates`.
 """
 
 from __future__ import annotations
@@ -63,24 +64,27 @@ class EvictionContext:
     Policies read `now` (index of the request that missed), `requested` (its
     page), `cached`, `excluded` (cached pages they must not evict),
     `candidates` (the cached pages outside `excluded`), `predictions` (the
-    bundle), `last_prediction_of` and `last_used`. These are the engine's live
-    state: policies only read them, except that a wrapper may set `excluded`
-    for a delegated call and restores it before returning.
+    bundle) and `last_used` (each page's most recent request index, so the
+    prediction attached to page p is the bundle's value at `last_used[p] - 1`).
+    These are the engine's live state: policies only read them, except that a
+    wrapper may set `excluded` for a delegated call and restores it before
+    returning.
 
-    When the policy names a `victim_order`, the engine pushes
-    `(-value, index, page)` for every request onto a min-heap once the cache
-    and `last_used` are updated. An entry is live while its page is cached and
-    was last requested at its index; others are dropped when they reach the
-    top. The heap's top live entry is the page with the largest value, the
-    least recently used among equal values (indices are unique, so live keys
-    never tie). It is rebuilt from the cache when it grows past 4k entries,
-    so it holds O(k) entries.
+    When the policy names a `victim_order`, the engine pushes one integer
+    key, `i - value * (n + 2)`, for every request i onto a min-heap once the
+    cache and `last_used` are updated. Since 1 <= i <= n, keys order exactly
+    like `(-value, i)`, and `key % (n + 2)` gives back i and with it the page.
+    An entry is live while its page is cached and was last requested at its
+    index; others are dropped when they reach the top. The heap's top live
+    entry is the page with the largest value, the least recently used among
+    equal values (indices are unique, so live keys never tie). It is rebuilt
+    from the cache when it grows past 4k entries, so it holds O(k) entries.
     """
 
     __slots__ = ("now", "requested", "cached", "excluded", "predictions",
-                 "last_prediction_of", "last_used", "policy", "k", "rng", "misses",
-                 "served", "last_evict_t", "last_evict_victim", "rebuilds",
-                 "_pages", "_vals", "_order", "_heap", "_calls")
+                 "last_used", "policy", "k", "rng", "misses", "served",
+                 "last_evict_t", "last_evict_victim", "rebuilds",
+                 "_pages", "_order", "_heap", "_calls")
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
                  bundle: PredictionBundle | None, rng: np.random.Generator):
@@ -93,7 +97,6 @@ class EvictionContext:
         self.cached: set[PageId] = set()
         self.excluded: set[PageId] | frozenset = frozenset()
         self.predictions = bundle
-        self.last_prediction_of: dict[PageId, int] = {}
         self.last_used: dict[PageId, int] = {}
         self.misses = 0
         self.served = 0
@@ -104,14 +107,8 @@ class EvictionContext:
         # bound once per run, since a combiner lane calls advance() per request
         self._calls = (policy.on_request if policy.needs_request_hook else None,
                        policy.choose_victim, policy.on_evict)
-        self._vals = None
-        if bundle is not None:
-            if bundle.kind is PredictionKind.NRT:
-                self._vals = bundle.nrt
-            elif bundle.kind is PredictionKind.BINARY:
-                self._vals = bundle.labels
         self._order = policy.victim_order(trace, bundle)
-        self._heap: list | None = None if self._order is None else []
+        self._heap: list[int] | None = None if self._order is None else []
 
     @property
     def candidates(self) -> set[PageId]:
@@ -124,9 +121,8 @@ class EvictionContext:
         rng = self.rng
         cache = self.cached
         last_used = self.last_used
-        page_pred = self.last_prediction_of
-        vals = self._vals
         order, heap = self._order, self._heap
+        m = len(self._pages) + 2
         limit = 4 * k
         hook, choose, on_evict = self._calls
         misses = self.misses
@@ -136,8 +132,6 @@ class EvictionContext:
         i = self.served
         for p in self._pages[i:until]:
             i += 1
-            if vals is not None:
-                page_pred[p] = vals[i - 1]
             if p in cache:
                 last_used[p] = i
                 if hook is not None:
@@ -160,9 +154,9 @@ class EvictionContext:
                 if hook is not None:
                     hook(p, i, False)
             if heap is not None:
-                heappush(heap, (-order[i - 1], i, p))
+                heappush(heap, i - order[i - 1] * m)
                 if len(heap) > limit:
-                    heap[:] = [(-order[last_used[q] - 1], last_used[q], q) for q in cache]
+                    heap[:] = [t - order[t - 1] * m for t in map(last_used.__getitem__, cache)]
                     heapify(heap)
                     self.rebuilds += 1
         self.served = i
@@ -176,19 +170,22 @@ class EvictionContext:
         Pops dead entries for good; live excluded ones are pushed back.
         """
         heap, cache, last_used, excluded = self._heap, self.cached, self.last_used, self.excluded
+        pages = self._pages
+        m = len(pages) + 2
         held = []
         try:
             while heap:
-                entry = heap[0]
-                p = entry[2]
-                if last_used[p] == entry[1] and p in cache:
+                key = heap[0]
+                i = key % m
+                p = pages[i - 1]
+                if last_used[p] == i and p in cache:
                     if p not in excluded:
                         return p
-                    held.append(entry)
+                    held.append(key)
                 heappop(heap)
         finally:
-            for entry in held:
-                heappush(heap, entry)
+            for key in held:
+                heappush(heap, key)
         raise ContractViolation(
             f"{self.policy.name} found no evictable page at t={self.now}"
         )
@@ -207,11 +204,12 @@ class Policy:
         """Called once before the first request of a run."""
 
     def victim_order(self, trace: Trace,
-                     bundle: PredictionBundle | None) -> Sequence[float] | None:
-        """Per-request values for a policy that evicts the page with the
-        largest value attached at its last request, so that the engine keeps
-        them in a heap for `EvictionContext.furthest`; None for a policy that
-        scans its candidates."""
+                     bundle: PredictionBundle | None) -> Sequence[int] | None:
+        """Per-request integer values for a policy that evicts the page with
+        the largest value attached at its last request, so that the engine
+        keeps them in a heap for `EvictionContext.furthest`; None for a policy
+        that scans its candidates. A float value makes the heap's key decode
+        fail (a `TypeError`) at the first eviction."""
         return None
 
     def choose_victim(self, ctx: EvictionContext, rng: np.random.Generator) -> PageId:
@@ -295,24 +293,26 @@ class LRBFollowerPolicy(Policy):
     requires = PredictionKind.BINARY
 
     def choose_victim(self, ctx, rng):
-        pred = ctx.last_prediction_of
-        try:
-            pool = sorted(p for p in ctx.candidates if pred[p])
-        except KeyError as exc:
-            raise ContractViolation(f"no label attached for cached page {exc}") from None
+        labels, last_used = ctx.predictions.labels, ctx.last_used
+        pool = sorted(p for p in ctx.candidates if labels[last_used[p] - 1])
         if not pool:
             pool = sorted(ctx.candidates)
         return pool[uniform_index(rng, len(pool))]
 
 
 class FitFFollowerPolicy(Policy):
-    """Delegates each eviction to a furthest-in-the-future choice function."""
+    """Delegates each eviction to a furthest-in-the-future choice function,
+    which takes the true furthest page from the engine's heap of next
+    request times (`EvictionContext.furthest`)."""
 
     name = "fitf"
     requires = PredictionKind.FITF
 
+    def victim_order(self, trace, bundle):
+        return trace.next_occurrence
+
     def choose_victim(self, ctx, rng):
-        return ctx.predictions.fitf_choice(ctx.candidates, ctx.now)
+        return ctx.predictions.fitf_choice(ctx)
 
 
 class _CombinerBase(Policy):

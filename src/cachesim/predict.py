@@ -2,24 +2,28 @@
 
 A bundle carries one prediction stream for a whole trace. Three kinds exist:
 per-request next-request-time estimates (NRT), per-request binary eviction
-labels, and a queryable furthest-in-the-future choice function (FITF). Bundles
-are built deterministically from (trace, parameters, seed).
+labels, and a furthest-in-the-future choice function (FITF) that a `fitf`
+replay queries at each eviction. Bundles are built deterministically from
+(trace, parameters, seed).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import ne, sub
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .oracle import belady_labels, belady_simulate
 from .trace import PageId, Trace
+
+if TYPE_CHECKING:
+    from .policy import EvictionContext
 
 
 class PredictionKind(Enum):
@@ -40,7 +44,7 @@ class PredictionBundle:
     kind: PredictionKind
     nrt: list[int] | None = None
     labels: list[int] | None = None
-    fitf_choice: Callable[[Iterable[PageId], int], PageId] | None = None
+    fitf_choice: Callable[[EvictionContext], PageId] | None = None
     fitf_queries: int = 0
     fitf_wrong: int = 0
 
@@ -112,7 +116,7 @@ def flip_labels(trace: Trace, k: int, p_flip: float, seed: int = 0) -> Predictio
         raise ValueError("p_flip must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     flips = rng.random(len(trace)) < p_flip
-    labels = [int(y ^ bool(f)) for y, f in zip(belady_labels(trace, k), flips)]
+    labels = (np.array(belady_labels(trace, k)) ^ flips).tolist()
     return PredictionBundle(PredictionKind.BINARY, labels=labels)
 
 
@@ -163,37 +167,24 @@ def popu(trace: Trace) -> PredictionBundle:
 def noisy_fitf(trace: Trace, k: int, epsilon: float, seed: int = 0) -> PredictionBundle:
     """Furthest-in-the-future choice function that errs with probability epsilon.
 
-    Each query consumes one RNG draw: with probability 1 - epsilon the true
-    furthest page is returned, otherwise a uniformly random other candidate
-    (the sole candidate when there is no alternative). Wrong answers are
-    tallied on the bundle.
+    The function is queried with the replay engine's context at each
+    eviction of a `fitf` run, and takes the true furthest candidate from
+    `ctx.furthest()` (ties: least recently used first). Each query consumes
+    one RNG draw: with probability 1 - epsilon the true furthest page is
+    returned, otherwise a uniformly random other candidate (the sole
+    candidate when there is no alternative). Wrong answers are tallied on the
+    bundle.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    occ = trace.occurrences()
-    sentinel = len(trace) + 1
     bundle = PredictionBundle(PredictionKind.FITF)
 
-    def true_fitf(candidates: Iterable[PageId], now: int) -> PageId:
-        best = None
-        best_key = None
-        for c in candidates:
-            times = occ[c]
-            j = bisect_right(times, now)
-            nxt = times[j] if j < len(times) else sentinel
-            key = (nxt, -times[j - 1], c)  # ties: LRU first, then larger id
-            if best_key is None or key > best_key:
-                best, best_key = c, key
-        return best
-
-    def choice(candidates: Iterable[PageId], now: int) -> PageId:
-        candidates = list(candidates)
-        truth = true_fitf(candidates, now)
-        answer = truth
+    def choice(ctx: EvictionContext) -> PageId:
+        truth = answer = ctx.furthest()
         u = float(rng.random())
         if u < epsilon:
-            others = sorted(c for c in candidates if c != truth)
+            others = sorted(c for c in ctx.candidates if c != truth)
             if others:
                 idx = min(int(u / epsilon * len(others)), len(others) - 1)
                 answer = others[idx]
@@ -251,14 +242,14 @@ def measure_error(bundle: PredictionBundle, trace: Trace, k: int | None = None) 
         truth = trace.next_occurrence
         if len(bundle.nrt) != len(truth):
             raise ValueError("bundle length does not match trace")
-        return PredictionError(eta_t=float(sum(abs(a - b) for a, b in zip(bundle.nrt, truth))))
+        return PredictionError(eta_t=float(sum(map(abs, map(sub, bundle.nrt, truth)))))
     if bundle.kind is PredictionKind.BINARY:
         if k is None:
             raise ValueError("measuring label error requires k")
         truth = belady_labels(trace, k)
         if len(bundle.labels) != len(truth):
             raise ValueError("bundle length does not match trace")
-        return PredictionError(eta_b=sum(a != b for a, b in zip(bundle.labels, truth)))
+        return PredictionError(eta_b=sum(map(ne, bundle.labels, truth)))
     if bundle.kind is PredictionKind.FITF:
         return PredictionError(eta_f=bundle.fitf_wrong)
     raise ValueError(f"cannot measure errors for bundle kind {bundle.kind}")

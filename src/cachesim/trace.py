@@ -36,7 +36,7 @@ def _next_occurrence(pages: list[PageId]) -> list[int]:
 class Trace:
     """Immutable page-request sequence with precomputed next-occurrence times."""
 
-    __slots__ = ("pages", "next_occurrence", "universe_size", "_occ", "_digest", "_labels")
+    __slots__ = ("pages", "next_occurrence", "universe_size", "_digest", "_labels")
 
     def __init__(self, pages: Iterable[PageId]):
         pages = [int(p) for p in pages]
@@ -47,7 +47,6 @@ class Trace:
         self.pages: list[PageId] = pages
         self.next_occurrence: list[int] = _next_occurrence(pages)
         self.universe_size: int = len(set(pages))
-        self._occ: dict[PageId, list[int]] | None = None
         self._digest: str | None = None
         # the optimum's eviction labels per cache size, kept by `oracle.belady_labels`
         self._labels: dict[int, tuple[int, ...]] = {}
@@ -58,15 +57,6 @@ class Trace:
     @property
     def n(self) -> int:
         return len(self.pages)
-
-    def occurrences(self) -> dict[PageId, list[int]]:
-        """Per-page sorted request indices (1-based), built lazily."""
-        if self._occ is None:
-            occ: dict[PageId, list[int]] = {}
-            for i, p in enumerate(self.pages, 1):
-                occ.setdefault(p, []).append(i)
-            self._occ = occ
-        return self._occ
 
     @property
     def digest(self) -> str:
@@ -119,7 +109,8 @@ def ingest_brightkite(
             raise ValueError(
                 f"line {lineno}: expected 5 tab-separated fields, got {len(cols)}"
             )
-        user, ts, _lat, _lon, loc = (c.strip() for c in cols)
+        user, ts, _lat, _lon, loc = cols
+        user, ts, loc = user.strip(), ts.strip(), loc.strip()
         if not loc:
             raise ValueError(f"line {lineno}: missing location id")
         if not user:

@@ -4,9 +4,11 @@ Everything here trades speed for obviousness: quadratic scans and direct
 simulations that can be checked by eye, so the package's optimized versions
 have something independent to agree with. The `max`-based victim choices of
 `belady`, `blind_oracle` and the offline optimum, which the package replaced
-with heaps, are kept here as the rules those heaps must reproduce. The exact oracles (exhaustive
-optimum, current 1-pages, the random 1-page policy) and the request and
-occurrence helpers live here too, because only the tests use them.
+with heaps, are kept here as the rules those heaps must reproduce, and so is
+the FITF truth found by bisecting each candidate's request list. The exact
+oracles (exhaustive optimum, current 1-pages, the random 1-page policy), the
+request and occurrence helpers, and the generator formulas of label flipping
+and error measurement live here too, because only the tests use them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from cachesim import PageId, Policy, PredictionKind, Trace
+from cachesim import (
+    PageId,
+    Policy,
+    PredictionBundle,
+    PredictionError,
+    PredictionKind,
+    Trace,
+    belady_labels,
+)
 from cachesim.oracle import BeladyOutcome
 
 
@@ -38,9 +48,18 @@ def requests(trace: Trace) -> list[Request]:
     return [Request(i, p) for i, p in enumerate(trace.pages, 1)]
 
 
+@lru_cache(maxsize=16)
+def occurrences(trace: Trace) -> dict[PageId, list[int]]:
+    """Per-page sorted request indices (1-based); kept for the last few traces."""
+    occ: dict[PageId, list[int]] = {}
+    for i, p in enumerate(trace.pages, 1):
+        occ.setdefault(p, []).append(i)
+    return occ
+
+
 def next_occurrence_after(trace: Trace, page: PageId, t: int) -> int:
     """Index of the first request for `page` strictly after `t`; n+1 if none."""
-    times = trace.occurrences().get(page)
+    times = occurrences(trace).get(page)
     if not times:
         return len(trace.pages) + 1
     j = bisect_right(times, t)
@@ -48,7 +67,7 @@ def next_occurrence_after(trace: Trace, page: PageId, t: int) -> int:
 
 
 def last_occurrence_at_or_before(trace: Trace, page: PageId, t: int) -> int | None:
-    times = trace.occurrences().get(page)
+    times = occurrences(trace).get(page)
     if not times:
         return None
     j = bisect_right(times, t)
@@ -143,9 +162,90 @@ class MaxBlindOraclePolicy(Policy):
     requires = PredictionKind.NRT
 
     def choose_victim(self, ctx, rng):
-        pred = ctx.last_prediction_of
+        nrt = ctx.predictions.nrt
         lu = ctx.last_used
-        return max(ctx.candidates, key=lambda p: (pred[p], -lu[p], p))
+        return max(ctx.candidates, key=lambda p: (nrt[lu[p] - 1], -lu[p], p))
+
+
+class DictLRBPolicy(Policy):
+    """`lrb` with the label attached at each page's latest request kept in a
+    dict by its own request hook, and `rng.integers` for the draw."""
+
+    name = "lrb"
+    requires = PredictionKind.BINARY
+    needs_request_hook = True
+
+    def begin_run(self, trace, k, bundle, rng):
+        self._labels = bundle.labels
+        self._attached: dict[PageId, int] = {}
+
+    def on_request(self, page, now, hit):
+        self._attached[page] = self._labels[now - 1]
+
+    def choose_victim(self, ctx, rng):
+        pool = sorted(p for p in ctx.candidates if self._attached[p])
+        if not pool:
+            pool = sorted(ctx.candidates)
+        return pool[int(rng.integers(len(pool)))]
+
+
+def bisect_fitf_truth(trace: Trace, candidates: Iterable[PageId], now: int) -> PageId:
+    """The furthest-in-the-future candidate after request `now`, found by
+    bisecting each candidate's request list; ties: least recently used
+    first, then larger id."""
+    occ = occurrences(trace)
+    sentinel = len(trace) + 1
+    best = best_key = None
+    for c in candidates:
+        times = occ[c]
+        j = bisect_right(times, now)
+        nxt = times[j] if j < len(times) else sentinel
+        key = (nxt, -times[j - 1], c)
+        if best_key is None or key > best_key:
+            best, best_key = c, key
+    return best
+
+
+def bisect_noisy_fitf(trace: Trace, k: int, epsilon: float, seed: int = 0,
+                      truths: list | None = None) -> PredictionBundle:
+    """`noisy_fitf` with its truth from `bisect_fitf_truth`, the same RNG
+    stream and noise rule; each query's truth is appended to `truths`."""
+    rng = np.random.default_rng(seed)
+    bundle = PredictionBundle(PredictionKind.FITF)
+
+    def choice(ctx) -> PageId:
+        candidates = list(ctx.candidates)
+        truth = answer = bisect_fitf_truth(trace, candidates, ctx.now)
+        if truths is not None:
+            truths.append(truth)
+        u = float(rng.random())
+        if u < epsilon:
+            others = sorted(c for c in candidates if c != truth)
+            if others:
+                answer = others[min(int(u / epsilon * len(others)), len(others) - 1)]
+        bundle.fitf_queries += 1
+        if answer != truth:
+            bundle.fitf_wrong += 1
+        return answer
+
+    bundle.fitf_choice = choice
+    return bundle
+
+
+def generator_flip_labels(trace: Trace, k: int, p_flip: float, seed: int = 0) -> list[int]:
+    """`flip_labels`'s labels, one Python XOR per request."""
+    flips = np.random.default_rng(seed).random(len(trace)) < p_flip
+    return [int(y ^ bool(f)) for y, f in zip(belady_labels(trace, k), flips)]
+
+
+def generator_measure_error(bundle: PredictionBundle, trace: Trace,
+                            k: int | None = None) -> PredictionError:
+    """`measure_error` of an NRT or binary bundle, by generator sums."""
+    if bundle.kind is PredictionKind.NRT:
+        truth = trace.next_occurrence
+        return PredictionError(eta_t=float(sum(abs(a - b) for a, b in zip(bundle.nrt, truth))))
+    truth = belady_labels(trace, k)
+    return PredictionError(eta_b=sum(a != b for a, b in zip(bundle.labels, truth)))
 
 
 def max_belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> BeladyOutcome:

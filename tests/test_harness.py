@@ -179,6 +179,18 @@ def test_opt_cache_ignores_unversioned_entries(plain_trace, tmp_path, monkeypatc
     assert stored[f"v1:{tr.digest}:2"] == opt_cost(tr, 2)
 
 
+def test_opt_cache_drops_entries_of_other_schemas(plain_trace, tmp_path, monkeypatch):
+    tr = parse_plain_trace(PLAIN)
+    kept = {"v1:0123:3": 7}  # another trace's count under the current schema
+    (tmp_path / "opt_cache.json").write_text(json.dumps(
+        {f"{tr.digest}:2": 999, f"v0:{tr.digest}:2": 998, **kept}))
+    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    run(ExperimentConfig(trace=plain_trace, k=2))
+    stored = json.loads((tmp_path / "opt_cache.json").read_text())
+    assert stored == {**kept, f"v1:{tr.digest}:2": opt_cost(tr, 2)}
+
+
 @pytest.mark.parametrize("corrupt", ["{not json", "[1]"])
 def test_corrupt_opt_cache_warns_and_is_replaced(corrupt, plain_trace, tmp_path, monkeypatch):
     cache_file = tmp_path / "opt_cache.json"

@@ -152,6 +152,15 @@ def test_prediction_attaches_at_most_recent_request():
     assert res.misses == 4
 
 
+def test_float_nrt_stream_raises_instead_of_choosing_a_victim():
+    # heap keys are decoded back to request indices, which only integer
+    # values allow
+    tr = Trace([0, 1, 2, 0])
+    bundle = PredictionBundle(PredictionKind.NRT, nrt=[4.0, 5.0, 5.0, 5.0])
+    with pytest.raises(TypeError):
+        simulate(BlindOraclePolicy(), tr, 2, bundle)
+
+
 def test_run_result_ratio_handles_missing_opt():
     assert RunResult("lru", 6, 3, 0, 0.0).ratio == 2.0
     assert RunResult("lru", 6, None, 0, 0.0).ratio is None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     PredictionBundle,
@@ -23,7 +25,29 @@ from cachesim import (
     save_bundle_csv,
     synthetic_nrt,
 )
-from .reference_impls import random_trace
+from cachesim.policy import EvictionContext, FitFFollowerPolicy
+from .reference_impls import (
+    fitf_page,
+    generator_flip_labels,
+    generator_measure_error,
+    random_trace,
+)
+
+
+def replay_fitf(trace, k, bundle, until, seed=0):
+    """Replay `fitf` over the first `until` requests; return the bundle's
+    counts and, per eviction, (request, true furthest page by scan, victim)."""
+    engine = EvictionContext(FitFFollowerPolicy(), trace, k, bundle,
+                             np.random.default_rng(seed))
+    evictions = []
+    for i in range(1, until + 1):
+        cached, last_used = set(engine.cached), dict(engine.last_used)
+        engine.advance(i)
+        if engine.last_evict_t == i:
+            truth = fitf_page(cached, i, lambda p: trace.next_occurrence[last_used[p] - 1],
+                              last_used)
+            evictions.append((i, truth, engine.last_evict_victim))
+    return (bundle.fitf_queries, bundle.fitf_wrong), evictions
 
 
 def test_perfect_nrt_equals_next_occurrence():
@@ -103,24 +127,22 @@ def test_noisy_fitf_zero_error_matches_offline_choice():
     tr = Trace([0, 1, 2, 1, 0, 3, 2, 1])
     bundle = noisy_fitf(tr, 2, 0.0, seed=4)
     # at t=3 with {0,1} cached: 0 returns at 5, 1 at 4 -> 0 goes
-    assert bundle.fitf_choice({0, 1}, 3) == 0
-    assert bundle.fitf_queries == 1 and bundle.fitf_wrong == 0
+    assert replay_fitf(tr, 2, bundle, 3) == ((1, 0), [(3, 0, 0)])
 
 
 def test_noisy_fitf_full_error_always_wrong_with_alternatives():
     tr = Trace([0, 1, 2, 1, 0, 3, 2, 1])
     bundle = noisy_fitf(tr, 2, 1.0, seed=4)
-    for now, cached in ((3, {0, 1}), (5, {1, 2}), (6, {0, 1})):
-        chosen = bundle.fitf_choice(cached, now)
-        assert chosen in cached
-    assert bundle.fitf_queries == 3 and bundle.fitf_wrong == 3
+    counts, evictions = replay_fitf(tr, 2, bundle, len(tr))
+    assert len(evictions) >= 3
+    assert all(victim != truth for _, truth, victim in evictions)
+    assert counts == (len(evictions), len(evictions))
 
 
 def test_noisy_fitf_single_candidate_never_counts_as_wrong():
     tr = Trace([0, 1, 0])
     bundle = noisy_fitf(tr, 1, 1.0, seed=0)
-    assert bundle.fitf_choice({0}, 2) == 0
-    assert bundle.fitf_wrong == 0
+    assert replay_fitf(tr, 1, bundle, 2) == ((1, 0), [(2, 0, 0)])
 
 
 def test_binary_from_nrt_explicit_boundary():
@@ -156,9 +178,29 @@ def test_measure_error_binary_counts_disagreements():
 def test_measure_error_fitf_counts_wrong_answers():
     tr = Trace([0, 1, 2, 1, 0, 3, 2, 1])
     bundle = noisy_fitf(tr, 2, 1.0, seed=4)
-    bundle.fitf_choice({0, 1}, 3)
-    bundle.fitf_choice({1, 2}, 5)
+    counts, evictions = replay_fitf(tr, 2, bundle, 4)
+    assert counts == (2, 2) and [t for t, _, _ in evictions] == [3, 4]
     assert measure_error(bundle, tr, k=2).eta_f == 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    k=st.integers(1, 6),
+    p_flip=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+    sigma=st.sampled_from((0.0, 0.5, 2.0)),
+)
+def test_flip_labels_and_measure_error_match_generator_formulas(seed, n, k, p_flip, sigma):
+    tr = random_trace(np.random.default_rng(seed), n, k + 3)
+    labels = flip_labels(tr, k, p_flip, seed=seed).labels
+    want = generator_flip_labels(tr, k, p_flip, seed=seed)
+    assert labels == want and all(type(y) is int for y in labels)
+    for bundle in (PredictionBundle(PredictionKind.BINARY, labels=labels),
+                   synthetic_nrt(tr, sigma, seed=seed), inverted_nrt(tr)):
+        got, ref = measure_error(bundle, tr, k), generator_measure_error(bundle, tr, k)
+        assert got == ref
+        assert type(got.eta_t) is type(ref.eta_t) and type(got.eta_b) is type(ref.eta_b)
 
 
 def test_measure_error_rejects_length_mismatch():

@@ -22,6 +22,7 @@ from .reference_impls import (
     Request,
     last_occurrence_at_or_before,
     next_occurrence_after,
+    occurrences,
     quadratic_next_occurrence,
     random_trace,
     requests,
@@ -57,7 +58,7 @@ def test_trace_basic_properties():
     assert tr.universe_size == 3
     assert tr.pages == [5, 3, 5, 7]
     assert [r.index for r in requests(tr)] == [1, 2, 3, 4]
-    assert tr.occurrences()[5] == [1, 3]
+    assert occurrences(tr)[5] == [1, 3]
 
 
 def test_trace_rejects_bad_input():

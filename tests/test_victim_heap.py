@@ -1,13 +1,19 @@
-"""The heap-ordered victim choice against the `max` scans it replaced.
+"""The heap-ordered victim choice against the scans it replaced.
 
-`blind_oracle`, `belady`, `guard:blind_oracle` and `belady_simulate` pick
-their victims from a lazy-deletion heap. On random traces with perfect,
-inverted and noisy predictions, every eviction (request index and victim)
-must equal that of the scan-based reference in `reference_impls.py`, and the
-optimum's misses, labels and eviction events must equal the reference's.
+`blind_oracle`, `belady`, `fitf` (for its truth) and `belady_simulate` pick
+their victims from a lazy-deletion heap, and `lrb` reads the label attached
+at each page's last request through `last_used`. On random traces with
+perfect, inverted and noisy predictions, every eviction (request index and
+victim) of these policies, bare and under `guard:`, must equal that of the
+scan-based reference in `reference_impls.py`, and the optimum's misses,
+labels and eviction events must equal the reference's. FITF answers at every
+noise level must equal those of the bisect reference, truth for truth.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,27 +27,38 @@ from cachesim import (
     Trace,
     belady_simulate,
     build_policy,
+    flip_labels,
     inverted_nrt,
+    noisy_fitf,
     perfect_nrt,
     synthetic_nrt,
 )
 from cachesim.policy import EvictionContext
 from .reference_impls import (
+    DictLRBPolicy,
     MaxBeladyPolicy,
     MaxBlindOraclePolicy,
+    bisect_noisy_fitf,
     max_belady_simulate,
     random_trace,
 )
 
+# (spec, reference policy, bundle kind); `fitf` with exact answers must
+# evict what the scan-based `belady` evicts
 PAIRS = (
-    ("blind_oracle", MaxBlindOraclePolicy),
-    ("belady", MaxBeladyPolicy),
-    ("guard:blind_oracle", lambda: GuardPolicy(MaxBlindOraclePolicy())),
+    ("blind_oracle", MaxBlindOraclePolicy, "nrt"),
+    ("belady", MaxBeladyPolicy, "nrt"),
+    ("guard:blind_oracle", lambda: GuardPolicy(MaxBlindOraclePolicy()), "nrt"),
+    ("lrb", DictLRBPolicy, "labels"),
+    ("guard:lrb", lambda: GuardPolicy(DictLRBPolicy()), "labels"),
+    ("fitf", MaxBeladyPolicy, "fitf"),
+    ("guard:fitf", lambda: GuardPolicy(MaxBeladyPolicy()), "fitf"),
 )
+# each regime's NRT stream and its share of flipped labels
 REGIMES = {
-    "perfect": lambda tr, seed: perfect_nrt(tr),
-    "inverted": lambda tr, seed: inverted_nrt(tr),
-    "sigma1": lambda tr, seed: synthetic_nrt(tr, 1.0, seed=seed),
+    "perfect": (lambda tr, seed: perfect_nrt(tr), 0.0),
+    "inverted": (lambda tr, seed: inverted_nrt(tr), 1.0),
+    "sigma1": (lambda tr, seed: synthetic_nrt(tr, 1.0, seed=seed), 0.3),
 }
 
 
@@ -56,11 +73,14 @@ def eviction_log(policy, trace, k, bundle, seed):
     return log, engine
 
 
-def check_against_reference(trace, k, bundle, seed):
+def check_against_reference(trace, k, regime, seed):
     """Assert every decision equals the reference's; return the heap rebuilds
-    and the most pages shielded at once, summed over the heap-ordered runs."""
+    and the most pages shielded at once, summed over the runs checked."""
+    nrt, p_flip = REGIMES[regime]
+    bundles = {"nrt": nrt(trace, seed), "labels": flip_labels(trace, k, p_flip, seed=seed)}
     rebuilds = shielded = 0
-    for spec, reference in PAIRS:
+    for spec, reference, kind in PAIRS:
+        bundle = bundles.get(kind) or noisy_fitf(trace, k, 0.0, seed=seed)
         policy = build_policy(spec)
         got, engine = eviction_log(policy, trace, k, bundle, seed)
         want, _ = eviction_log(reference(), trace, k, bundle, seed)
@@ -90,7 +110,7 @@ def test_heap_victims_match_max_reference(seed, n, k, spread, regime):
     rng = np.random.default_rng(seed)
     universe = k + 1 + spread * k // 100  # k+1 .. 2k+1 pages, so the cache fills
     trace = random_trace(rng, n, universe)
-    check_against_reference(trace, k, REGIMES[regime](trace, seed), seed)
+    check_against_reference(trace, k, regime, seed)
 
 
 @pytest.mark.parametrize("k", (2, 17, 100))
@@ -99,7 +119,7 @@ def test_long_runs_rebuild_the_heap_and_shield_pages(k, regime):
     # the property above draws short traces too; these runs are long enough
     # that each heap is rebuilt and the guard shields pages mid-phase
     trace = random_trace(np.random.default_rng(k), 3000, k + 1 + k // 2)
-    rebuilds, shielded = check_against_reference(trace, k, REGIMES[regime](trace, 7), 7)
+    rebuilds, shielded = check_against_reference(trace, k, regime, 7)
     assert rebuilds > 0
     assert shielded > 0
 
@@ -115,3 +135,41 @@ def test_no_evictable_page_is_a_contract_violation():
     # the shielded entries went back on the heap
     engine.excluded = {1}
     assert engine.furthest() == 2
+
+
+@contextmanager
+def recorded_truths():
+    """Record every page `EvictionContext.furthest` returns."""
+    truths = []
+    furthest = EvictionContext.furthest
+
+    def recording(ctx):
+        page = furthest(ctx)
+        truths.append(page)
+        return page
+
+    with mock.patch.object(EvictionContext, "furthest", recording):
+        yield truths
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 600),
+    k=st.integers(1, 11),
+    spread=st.integers(0, 100),
+    epsilon=st.sampled_from((0.0, 0.5, 1.0)),
+    spec=st.sampled_from(("fitf", "guard:fitf", "switch_rand(fitf,fitf)")),
+)
+def test_fitf_truths_and_evictions_match_bisect_reference(seed, n, k, spread, epsilon, spec):
+    trace = random_trace(np.random.default_rng(seed), n, k + 1 + spread * k // 100)
+    bundle = noisy_fitf(trace, k, epsilon, seed=seed)
+    with recorded_truths() as truths:
+        got, _ = eviction_log(build_policy(spec), trace, k, bundle, seed)
+    want_truths = []
+    reference = bisect_noisy_fitf(trace, k, epsilon, seed=seed, truths=want_truths)
+    want, _ = eviction_log(build_policy(spec), trace, k, reference, seed)
+    assert truths == want_truths
+    assert got == want
+    assert (bundle.fitf_queries, bundle.fitf_wrong) == (
+        reference.fitf_queries, reference.fitf_wrong)
