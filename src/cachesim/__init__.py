@@ -4,54 +4,36 @@ The package models paging with miss-count cost: traces of page requests are
 replayed against eviction policies (classical, prediction-following, switching
 combinations, and a phase-based robustification wrapper), and costs are
 reported relative to the offline optimum.
+
+Names outside `__all__` are imported from their submodules.
 """
 
 from .guard import (
-    GuardPolicy,
     InvariantViolation,
     PhaseReport,
-    PhaseStats,
-    harmonic,
     phase_report,
     phase_stats_csv,
     robustness_bound,
 )
 from .harness import (
-    CSV_COLUMNS,
-    ComparisonTable,
     ExperimentConfig,
     RunTable,
-    compare,
     load_traces,
     run,
 )
-from .oracle import (
-    belady_labels,
-    belady_simulate,
-    opt_cost,
-)
+from .oracle import opt_cost
 from .policy import (
-    BeladyPolicy,
-    BlindOraclePolicy,
     ContractViolation,
-    LRBFollowerPolicy,
-    LRUPolicy,
-    MarkerPolicy,
     Policy,
     RunResult,
-    SwitchDeterministicPolicy,
-    SwitchRandomizedPolicy,
     build_policy,
     simulate,
 )
 from .predict import (
     PredictionBundle,
     PredictionError,
-    PredictionKind,
-    binary_from_nrt,
     flip_labels,
     inverted_nrt,
-    load_bundle_csv,
     measure_error,
     noisy_fitf,
     perfect_labels,
@@ -62,12 +44,9 @@ from .predict import (
     synthetic_nrt,
 )
 from .trace import (
-    PageId,
     SetAssociativeConfig,
     Trace,
     adversarial_pinning_trace,
-    compute_next_occurrence,
-    cyclic_trace,
     ingest_address_trace,
     ingest_brightkite,
     ingest_citibike,
@@ -77,45 +56,24 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeladyPolicy",
-    "BlindOraclePolicy",
-    "CSV_COLUMNS",
-    "ComparisonTable",
     "ContractViolation",
     "ExperimentConfig",
-    "GuardPolicy",
     "InvariantViolation",
-    "LRBFollowerPolicy",
-    "LRUPolicy",
-    "MarkerPolicy",
-    "PageId",
     "PhaseReport",
-    "PhaseStats",
     "Policy",
     "PredictionBundle",
     "PredictionError",
-    "PredictionKind",
     "RunResult",
     "RunTable",
     "SetAssociativeConfig",
-    "SwitchDeterministicPolicy",
-    "SwitchRandomizedPolicy",
     "Trace",
     "adversarial_pinning_trace",
-    "belady_labels",
-    "belady_simulate",
-    "binary_from_nrt",
     "build_policy",
-    "compare",
-    "compute_next_occurrence",
-    "cyclic_trace",
     "flip_labels",
-    "harmonic",
     "ingest_address_trace",
     "ingest_brightkite",
     "ingest_citibike",
     "inverted_nrt",
-    "load_bundle_csv",
     "load_traces",
     "measure_error",
     "noisy_fitf",

@@ -271,10 +271,6 @@ class PhaseReport:
     literal_upper_ok: bool | None
     reverse_lower_ok: bool | None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def phase_report(run: RunResult) -> PhaseReport:
     """Check the per-phase counter inequalities recorded by a guarded run."""

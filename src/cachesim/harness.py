@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, seeded sweeps, CSV output, comparisons.
+"""Experiment orchestration: configs, seeded sweeps, CSV output.
 
 One experiment = one trace source, one policy spec, one predictor spec, an
 optional sweep over a single predictor parameter, and a list of seeds. Every
@@ -18,6 +18,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .guard import InvariantViolation, phase_report, phase_stats_csv
 from .oracle import opt_cost
@@ -86,15 +87,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         build_policy(self.policy)  # raises on unknown policy specs
-        name, params = parse_pred_spec(self.pred)
-        if name not in _PREDICTORS:
-            raise ValueError(f"unknown predictor {name!r}; expected one of {sorted(_PREDICTORS)}")
-        given = set(params)
-        if self.sweep is not None:
-            given.add(parse_sweep(self.sweep)[0])
-        for key in _REQUIRED_PARAMS.get(name, ()):
-            if key not in given:
-                raise ValueError(f"predictor {name!r} needs parameter {key!r} ({name}:{key}=...)")
+        predictor_points(self.pred, self.sweep)  # raises on unknown or bad parameters
 
 
 def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
@@ -140,48 +133,77 @@ def parse_sweep(sweep: str) -> tuple[str, list[str]]:
     return key.strip(), values
 
 
-# Predictor constructors; the bool marks whether the bundle depends on the
-# run seed (and therefore must be rebuilt per seed rather than shared).
+@dataclass(frozen=True)
+class _Predictor:
+    """How the harness builds one predictor's bundles.
+
+    `params` maps each parameter to its default: given numbers parse as
+    floats, None leaves the value to the builder, and `str` marks a required
+    string. Without a sweep, the given `primary` value labels the rows. A
+    `seeded` bundle depends on the run seed, so it is rebuilt per seed. The
+    builders call this module's globals, so wrappers installed there see them.
+    """
+
+    build: Callable[[Trace, int, dict, int], PredictionBundle] | None
+    params: dict = field(default_factory=dict)
+    primary: str | None = None
+    seeded: bool = False
+
+
 _PREDICTORS = {
-    "none": (None, False),
-    "nrt": (lambda tr, k, p, s: synthetic_nrt(tr, sigma=float(p.get("sigma", 1.0)), seed=s), True),
-    "perfect": (lambda tr, k, p, s: perfect_nrt(tr), False),
-    "inverted": (lambda tr, k, p, s: inverted_nrt(tr), False),
-    "binary": (
-        lambda tr, k, p, s: flip_labels(tr, k, p_flip=float(p.get("p_flip", 0.0)), seed=s),
-        True,
-    ),
-    "perfect_labels": (lambda tr, k, p, s: perfect_labels(tr, k), False),
-    "fitf": (
-        lambda tr, k, p, s: noisy_fitf(tr, k, epsilon=float(p.get("epsilon", 0.0)), seed=s),
-        True,
-    ),
-    "pleco": (
-        lambda tr, k, p, s: pleco(
-            tr, alpha=float(p.get("alpha", 1.8)), offset=float(p.get("offset", 10.0))
-        ),
-        False,
-    ),
-    "popu": (lambda tr, k, p, s: popu(tr), False),
-    "binary_nrt": (
-        lambda tr, k, p, s: binary_from_nrt(
-            synthetic_nrt(tr, sigma=float(p.get("sigma", 1.0)), seed=s),
-            tr,
-            boundary=float(p["boundary"]) if "boundary" in p else None,
-            k=k,
-        ),
-        True,
-    ),
-    "csv": (lambda tr, k, p, s: load_bundle_csv(p["path"]), False),
+    "none": _Predictor(None),
+    "nrt": _Predictor(lambda tr, k, p, s: synthetic_nrt(tr, sigma=p["sigma"], seed=s),
+                      {"sigma": 1.0}, "sigma", seeded=True),
+    "perfect": _Predictor(lambda tr, k, p, s: perfect_nrt(tr)),
+    "inverted": _Predictor(lambda tr, k, p, s: inverted_nrt(tr)),
+    "binary": _Predictor(lambda tr, k, p, s: flip_labels(tr, k, p_flip=p["p_flip"], seed=s),
+                         {"p_flip": 0.0}, "p_flip", seeded=True),
+    "perfect_labels": _Predictor(lambda tr, k, p, s: perfect_labels(tr, k)),
+    "fitf": _Predictor(lambda tr, k, p, s: noisy_fitf(tr, k, epsilon=p["epsilon"], seed=s),
+                       {"epsilon": 0.0}, "epsilon", seeded=True),
+    "pleco": _Predictor(lambda tr, k, p, s: pleco(tr, alpha=p["alpha"], offset=p["offset"]),
+                        {"alpha": 1.8, "offset": 10.0}, "alpha"),
+    "popu": _Predictor(lambda tr, k, p, s: popu(tr)),
+    "binary_nrt": _Predictor(
+        lambda tr, k, p, s: binary_from_nrt(synthetic_nrt(tr, sigma=p["sigma"], seed=s), tr,
+                                            boundary=p["boundary"], k=k),
+        {"sigma": 1.0, "boundary": None}, "sigma", seeded=True),
+    "csv": _Predictor(lambda tr, k, p, s: load_bundle_csv(p["path"]), {"path": str}),
 }
 
-# Parameters a predictor cannot do without, from the spec or the sweep.
-_REQUIRED_PARAMS = {"csv": ("path",)}
 
-_PRIMARY_PARAM = {
-    "nrt": "sigma", "binary": "p_flip", "fitf": "epsilon",
-    "pleco": "alpha", "binary_nrt": "sigma",
-}
+def predictor_points(pred: str, sweep: str | None) -> tuple[str, list[tuple[str, dict]]]:
+    """Check a predictor spec and sweep against `_PREDICTORS`.
+
+    Returns the predictor name and, per sweep point, the row's `param` label
+    (the value the user gave for the swept or primary parameter, else "") and
+    the typed parameters with defaults filled in. Raises ValueError for an
+    unknown predictor or parameter, a value that does not parse, or a missing
+    required parameter.
+    """
+    name, given = parse_pred_spec(pred)
+    entry = _PREDICTORS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown predictor {name!r}; expected one of {sorted(_PREDICTORS)}")
+    key, values = (None, [None]) if sweep is None else parse_sweep(sweep)
+    points = []
+    for value in values:
+        params = dict(entry.params)
+        for param, text in (given if key is None else {**given, key: value}).items():
+            if param not in params:
+                raise ValueError(f"predictor {name!r} has no parameter {param!r}; "
+                                 f"it takes {sorted(params) or 'no parameters'}")
+            try:
+                params[param] = text if params[param] is str else float(text)
+            except ValueError:
+                raise ValueError(f"predictor {name!r} parameter {param!r}: "
+                                 f"{text!r} is not a number") from None
+        for param, default in params.items():
+            if default is str:
+                raise ValueError(f"predictor {name!r} needs parameter {param!r} "
+                                 f"({name}:{param}=...)")
+        points.append((given.get(entry.primary, "") if key is None else value, params))
+    return name, points
 
 
 _OPT_SCHEMA = "v1:"
@@ -191,8 +213,9 @@ class _OptCache:
     """Offline-optimum miss counts keyed by `v1:{trace digest}:{k}`.
 
     The version prefix is raised whenever the optimum's computation changes,
-    so that a count persisted by another version is never read; such counts
-    are dropped when the file is loaded, so the next save removes them.
+    so that a count persisted by another version is never read; such counts,
+    and any stored count that is not a positive integer, are dropped when the
+    file is loaded, so the next save removes them.
 
     Always memoised in memory; persisted to a JSON file when the cache
     directory environment variable is set. The file is replaced atomically,
@@ -210,7 +233,8 @@ class _OptCache:
                 try:
                     stored = json.loads(self._path.read_text())
                     self._mem.update((key, opt) for key, opt in stored.items()
-                                     if key.startswith(_OPT_SCHEMA))
+                                     if key.startswith(_OPT_SCHEMA)
+                                     and type(opt) is int and opt > 0)
                 # AttributeError: the file holds JSON that is not an object
                 except (OSError, ValueError, AttributeError) as exc:
                     warnings.warn(f"cannot read optimum cache {self._path}: {exc}",
@@ -333,26 +357,22 @@ def run(config: ExperimentConfig) -> RunTable:
     config.validate()
     traces = load_traces(config)
     k = config.resolved_k()
-    pred_name, pred_params = parse_pred_spec(config.pred)
-    ctor, seeded = _PREDICTORS[pred_name]
-    sweep_key, sweep_values = (None, [None]) if config.sweep is None else parse_sweep(config.sweep)
+    pred_name, points = predictor_points(config.pred, config.sweep)
+    predictor = _PREDICTORS[pred_name]
 
     rows: list[dict] = []
     results: list[RunResult] = []
     sections: list[str] = []
-    for value in sweep_values:
-        params = dict(pred_params)
-        if sweep_key is not None:
-            params[sweep_key] = value
-        param = value if value is not None else params.get(_PRIMARY_PARAM.get(pred_name, ""), "")
+    for param, params in points:
         fixed = {"policy": config.policy, "predictor": pred_name, "param": param}
         bundles: dict[str, PredictionBundle | None] = {}
         seed_rows: list[dict] = []
         for seed in config.seeds:
             records = []
             for label, tr in traces:
-                if seeded or label not in bundles:
-                    bundles[label] = None if ctor is None else ctor(tr, k, params, seed)
+                if predictor.seeded or label not in bundles:
+                    bundles[label] = (None if predictor.build is None
+                                      else predictor.build(tr, k, params, seed))
                 result, record, section = replay_subtrace(
                     config, k, label, tr, bundles[label], seed, param)
                 results.append(result)
@@ -379,50 +399,3 @@ def run(config: ExperimentConfig) -> RunTable:
             Path(str(out_path) + ".phases.csv").write_text(phases)
     return table
 
-
-@dataclass
-class ComparisonTable:
-    """Policies as rows, (predictor, sweep point) pairs as columns."""
-
-    columns: list[str]
-    rows: list[tuple[str, dict[str, float]]]
-
-    def render(self) -> str:
-        width = max([len("policy")] + [len(name) for name, _ in self.rows])
-        cols = [max(len(c), 8) for c in self.columns]
-        lines = [
-            "policy".ljust(width) + "  "
-            + "  ".join(c.rjust(w) for c, w in zip(self.columns, cols))
-        ]
-        for name, cells in self.rows:
-            rendered = [
-                (f"{cells[c]:.4f}" if c in cells else "-").rjust(w)
-                for c, w in zip(self.columns, cols)
-            ]
-            lines.append(name.ljust(width) + "  " + "  ".join(rendered))
-        return "\n".join(lines) + "\n"
-
-
-def compare(*configs: ExperimentConfig) -> ComparisonTable:
-    """Run several configs on the same trace and tabulate mean ratios."""
-    if not configs:
-        raise ValueError("compare needs at least one config")
-    anchor = (str(configs[0].trace), configs[0].format, configs[0].resolved_k())
-    columns: list[str] = []
-    rows: list[tuple[str, dict[str, float]]] = []
-    for config in configs:
-        this = (str(config.trace), config.format, config.resolved_k())
-        if this != anchor:
-            raise ValueError(
-                f"compare requires a shared trace and k: {this} != {anchor}"
-            )
-        table = run(config)
-        pred_name, _ = parse_pred_spec(config.pred)
-        cells: dict[str, float] = {}
-        for param, ratio in table.mean_ratios().items():
-            col = f"{pred_name}:{param}" if param != "" else pred_name
-            if col not in columns:
-                columns.append(col)
-            cells[col] = ratio
-        rows.append((config.policy, cells))
-    return ComparisonTable(columns=columns, rows=rows)

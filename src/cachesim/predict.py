@@ -203,22 +203,20 @@ def binary_from_nrt(
     boundary: float | None = None,
     *,
     k: int | None = None,
-    warmup_fraction: float = 0.1,
-    percentile: float = 90.0,
 ) -> PredictionBundle:
     """Threshold an NRT bundle into binary labels: 1 iff predicted gap > boundary.
 
-    When no boundary is given it is calibrated as the given percentile of the
-    offline optimum's eviction forward-gaps on the leading ``warmup_fraction``
-    of the trace (which needs ``k``); with no warmup evictions every request
-    is labelled 0 via a maximal boundary.
+    When no boundary is given it is calibrated as the 90th percentile of the
+    offline optimum's eviction forward-gaps on the leading tenth of the trace
+    (which needs ``k``); with no warmup evictions every request is labelled 0
+    via a maximal boundary.
     """
     if bundle.kind is not PredictionKind.NRT:
         raise ValueError("binary_from_nrt needs an NRT bundle")
     if boundary is None:
         if k is None:
             raise ValueError("deriving the default boundary requires k")
-        m = max(1, int(len(trace) * warmup_fraction))
+        m = max(1, int(len(trace) * 0.1))
         prefix = Trace(trace.pages[:m])
         out = belady_simulate(prefix, k)
         gaps = [
@@ -226,7 +224,7 @@ def binary_from_nrt(
             for i, y in enumerate(out.labels)
             if y
         ]
-        boundary = float(np.percentile(gaps, percentile)) if gaps else float(len(trace))
+        boundary = float(np.percentile(gaps, 90.0)) if gaps else float(len(trace))
     if boundary <= 0:
         raise ValueError("boundary must be positive")
     labels = [

@@ -12,17 +12,13 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 PageId = int
 
 
-def compute_next_occurrence(requests: Sequence) -> list[int]:
-    """Next-occurrence index for every request, sentinel n+1, in one backward pass."""
-    return _next_occurrence([int(r) for r in requests])
-
-
 def _next_occurrence(pages: list[PageId]) -> list[int]:
+    """Next-occurrence index for every request, sentinel n+1, in one backward pass."""
     n = len(pages)
     nxt = [0] * n
     last_seen: dict[PageId, int] = {}
@@ -52,10 +48,6 @@ class Trace:
         self._labels: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.pages)
-
-    @property
-    def n(self) -> int:
         return len(self.pages)
 
     @property
@@ -129,7 +121,7 @@ def ingest_brightkite(
     return out
 
 
-def ingest_citibike(text: str, *, start_station_column: str = "start station id") -> Trace:
+def ingest_citibike(text: str) -> Trace:
     """Read a bike-share ride CSV; each ride's start station id becomes one request."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -137,9 +129,9 @@ def ingest_citibike(text: str, *, start_station_column: str = "start station id"
         raise ValueError("empty trace")
     names = [h.strip().lower() for h in header]
     try:
-        col = names.index(start_station_column.strip().lower())
+        col = names.index("start station id")
     except ValueError:
-        raise ValueError(f"column {start_station_column!r} not found in header") from None
+        raise ValueError("column 'start station id' not found in header") from None
     pages: list[int] = []
     for rownum, row in enumerate(reader, 2):
         if not row or all(not c.strip() for c in row):
@@ -208,13 +200,6 @@ def ingest_address_trace(text: str, config: SetAssociativeConfig) -> dict[int, T
     if not per_set:
         raise ValueError("empty trace")
     return {s: Trace(pages) for s, pages in sorted(per_set.items())}
-
-
-def cyclic_trace(num_pages: int, n: int) -> Trace:
-    """Round-robin requests over ``num_pages`` pages; the classic paging stressor."""
-    if num_pages < 1 or n < 1:
-        raise ValueError("need at least one page and one request")
-    return Trace([i % num_pages for i in range(n)])
 
 
 def adversarial_pinning_trace(n: int) -> Trace:

@@ -7,8 +7,9 @@ have something independent to agree with. The `max`-based victim choices of
 with heaps, are kept here as the rules those heaps must reproduce, and so is
 the FITF truth found by bisecting each candidate's request list. The exact
 oracles (exhaustive optimum, current 1-pages, the random 1-page policy), the
-request and occurrence helpers, and the generator formulas of label flipping
-and error measurement live here too, because only the tests use them.
+request and occurrence helpers, the random and cyclic trace generators, and
+the generator formulas of label flipping and error measurement live here too,
+because only the tests use them.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from cachesim import (
-    PageId,
     Policy,
     PredictionBundle,
     PredictionError,
-    PredictionKind,
     Trace,
-    belady_labels,
 )
-from cachesim.oracle import BeladyOutcome
+from cachesim.oracle import BeladyOutcome, belady_labels
+from cachesim.predict import PredictionKind
+from cachesim.trace import PageId
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class Request:
 
     index: int
     page: PageId
-
-    def __int__(self) -> int:
-        return self.page
 
 
 def requests(trace: Trace) -> list[Request]:
@@ -139,6 +136,13 @@ def random_trace(rng: np.random.Generator, n: int, universe: int,
         else:
             pages.append(p)
     return Trace(pages[:n])
+
+
+def cyclic_trace(num_pages: int, n: int) -> Trace:
+    """Round-robin requests over ``num_pages`` pages; the classic paging stressor."""
+    if num_pages < 1 or n < 1:
+        raise ValueError("need at least one page and one request")
+    return Trace([i % num_pages for i in range(n)])
 
 
 class MaxBeladyPolicy(Policy):

@@ -18,10 +18,8 @@ import pytest
 
 from cachesim import (
     ExperimentConfig,
-    GuardPolicy,
     Trace,
     adversarial_pinning_trace,
-    belady_simulate,
     build_policy,
     flip_labels,
     ingest_brightkite,
@@ -37,6 +35,8 @@ from cachesim import (
     simulate,
     synthetic_nrt,
 )
+from cachesim.guard import GuardPolicy
+from cachesim.oracle import belady_simulate
 from .reference_impls import brute_force_opt, random_trace, rb_random_policy_cost
 
 DATA = Path(__file__).parent / "data"

@@ -8,16 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (
-    GuardPolicy,
     InvariantViolation,
-    LRUPolicy,
     Policy,
     Trace,
     adversarial_pinning_trace,
     build_policy,
-    cyclic_trace,
     flip_labels,
-    harmonic,
     inverted_nrt,
     noisy_fitf,
     opt_cost,
@@ -28,8 +24,9 @@ from cachesim import (
     simulate,
     synthetic_nrt,
 )
-from cachesim.guard import PhaseStats, _RandomSet
-from .reference_impls import random_trace
+from cachesim.guard import GuardPolicy, PhaseStats, _RandomSet, harmonic
+from cachesim.policy import LRUPolicy
+from .reference_impls import cyclic_trace, random_trace
 
 
 def test_harmonic_values():
@@ -93,7 +90,7 @@ def test_phase_counters_frozen_example():
         PhaseStats(q=2, c_q=1, n_q=1, o_q=0, n_q_new=0, n_q_old=1),
     ]
     rep = phase_report(res)
-    assert rep.ok
+    assert not rep.violations
     assert rep.c_sum == 6 and rep.n_old_sum == 2
     # 6 misses = 3 cold fills + (0 + 2 + 1) eviction-causing misses
     assert res.misses == min(3, tr.universe_size) + sum(ph.n_q + ph.o_q for ph in rep.phases)
@@ -150,7 +147,7 @@ def test_cyclic_pressure_frozen_counters():
     res = simulate(build_policy("guard:blind_oracle"), tr, 2, inverted_nrt(tr))
     rep = phase_report(res)
     assert res.opt_misses == 31 and res.misses == 60
-    assert rep.ok
+    assert not rep.violations
     assert rep.c_sum == 31 and rep.n_old_sum == 29
     # 60 misses = 2 cold fills + 58 eviction-causing misses
     assert sum(ph.n_q + ph.o_q for ph in rep.phases) == 58
@@ -161,7 +158,7 @@ def test_single_slot_cache_degenerates_cleanly():
     tr = cyclic_trace(2, 20)
     res = simulate(GuardPolicy(LRUPolicy()), tr, 1)
     assert res.misses == 20 and res.opt_misses == 20
-    assert phase_report(res).ok
+    assert not phase_report(res).violations
 
 
 def test_counter_inequalities_hold_across_regimes():
@@ -179,7 +176,7 @@ def test_counter_inequalities_hold_across_regimes():
         for spec, make in regimes:
             res = simulate(build_policy(spec), tr, k, make(tr, k, seed), seed=seed)
             rep = phase_report(res)
-            assert rep.ok, rep.violations
+            assert not rep.violations, rep.violations
             for ph in rep.phases:
                 assert 0 <= ph.n_q_old <= ph.c_q
                 assert ph.n_q <= 2 * ph.c_q
@@ -189,7 +186,7 @@ def test_guard_composes_with_combiners():
     tr = adversarial_pinning_trace(400)
     bundle = inverted_nrt(tr)
     res = simulate(build_policy("guard:switch_det(blind_oracle,lru)"), tr, 2, bundle)
-    assert phase_report(res).ok
+    assert not phase_report(res).violations
     assert res.ratio <= robustness_bound(2)
 
 

@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from cachesim import (
-    CSV_COLUMNS,
-    ComparisonTable,
     ExperimentConfig,
-    LRUPolicy,
     Policy,
     SetAssociativeConfig,
-    compare,
     ingest_address_trace,
     ingest_brightkite,
     opt_cost,
@@ -24,8 +21,8 @@ from cachesim import (
     simulate,
 )
 from cachesim import cli, harness, oracle
-from cachesim.harness import _OptCache, parse_pred_spec, parse_sweep, resolve_out
-from cachesim.policy import POLICY_FACTORIES
+from cachesim.harness import CSV_COLUMNS, _OptCache, parse_pred_spec, parse_sweep, resolve_out
+from cachesim.policy import POLICY_FACTORIES, LRUPolicy
 from cachesim.trace import parse_plain_trace
 
 DATA = Path(__file__).parent / "data"
@@ -191,6 +188,20 @@ def test_opt_cache_drops_entries_of_other_schemas(plain_trace, tmp_path, monkeyp
     assert stored == {**kept, f"v1:{tr.digest}:2": opt_cost(tr, 2)}
 
 
+@pytest.mark.parametrize("count", ["seven", -3, 2.5, True])
+def test_opt_cache_drops_counts_that_are_not_positive_integers(
+        count, plain_trace, tmp_path, monkeypatch):
+    tr = parse_plain_trace(PLAIN)
+    key = f"v1:{tr.digest}:2"
+    (tmp_path / "opt_cache.json").write_text(json.dumps({key: count}))
+    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    table = run(ExperimentConfig(trace=plain_trace, k=2))
+    assert table.rows[0]["opt"] == opt_cost(tr, 2)
+    stored = json.loads((tmp_path / "opt_cache.json").read_text())[key]
+    assert type(stored) is int and stored == opt_cost(tr, 2)
+
+
 @pytest.mark.parametrize("corrupt", ["{not json", "[1]"])
 def test_corrupt_opt_cache_warns_and_is_replaced(corrupt, plain_trace, tmp_path, monkeypatch):
     cache_file = tmp_path / "opt_cache.json"
@@ -252,7 +263,22 @@ def test_parse_sweep():
             parse_sweep(bad)
 
 
-def test_config_validation(plain_trace):
+# Predictor specs and sweeps whose parameters the predictor does not take or
+# cannot parse, with what the error names.
+BAD_PREDICTORS = [
+    ("nrt:sigmaa=5", None, "'sigmaa'"),
+    ("nrt", "sigmaa=0,5", "'sigmaa'"),
+    ("perfect:sigma=3", None, "no parameters"),
+    ("none", "sigma=0,5", "no parameters"),
+    ("nrt:sigma=abc", None, "'sigma'.*'abc'"),
+]
+
+
+def test_config_validation(plain_trace, tmp_path):
+    # a bad predictor is rejected before the trace, which does not exist, is read
+    for pred, sweep, match in BAD_PREDICTORS:
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(trace=tmp_path / "missing.txt", pred=pred, sweep=sweep).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(trace=plain_trace, format="exotic").validate()
     with pytest.raises(ValueError):
@@ -264,26 +290,6 @@ def test_config_validation(plain_trace):
     with pytest.raises(ValueError):
         ExperimentConfig(trace=plain_trace, pred="made_up").validate()
     assert ExperimentConfig(trace=plain_trace, format="citi").resolved_k() == 100
-
-
-def test_compare_tabulates_mean_ratios(plain_trace):
-    table = compare(
-        ExperimentConfig(trace=plain_trace, k=2, policy="lru"),
-        ExperimentConfig(trace=plain_trace, k=2, policy="blind_oracle", pred="perfect"),
-    )
-    assert isinstance(table, ComparisonTable)
-    assert table.columns == ["none", "perfect"]
-    assert [name for name, _ in table.rows] == ["lru", "blind_oracle"]
-    rendered = table.render()
-    assert "policy" in rendered and "1.0000" in rendered
-
-
-def test_compare_rejects_mismatched_axes(plain_trace):
-    with pytest.raises(ValueError):
-        compare(
-            ExperimentConfig(trace=plain_trace, k=2),
-            ExperimentConfig(trace=plain_trace, k=3),
-        )
 
 
 # --- command line ------------------------------------------------------------
@@ -321,6 +327,11 @@ def test_cli_error_exits(plain_trace, tmp_path, capsys):
     assert cli.main(["--config", str(bad_cfg)]) == 1
     assert cli.main(["--trace", str(plain_trace), "--seeds", "0"]) == 1
     capsys.readouterr()
+    for pred, sweep, match in BAD_PREDICTORS:
+        argv = ["--trace", str(plain_trace), "--pred", pred]
+        assert cli.main(argv + (["--sweep", sweep] if sweep else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(match, err), err
 
 
 class _StuckPolicy(Policy):

@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cachesim import (
-    Trace,
-    belady_labels,
-    belady_simulate,
-    opt_cost,
-)
+from cachesim import Trace, opt_cost
+from cachesim.oracle import belady_labels, belady_simulate
 from .reference_impls import (
     belady_misses_naive,
     brute_force_opt,

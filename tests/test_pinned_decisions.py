@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cachesim import PredictionKind, build_policy, flip_labels, noisy_fitf, simulate, synthetic_nrt
+from cachesim import build_policy, flip_labels, noisy_fitf, simulate, synthetic_nrt
+from cachesim.predict import PredictionKind
 from .reference_impls import random_trace
 
 DATA = Path(__file__).parent / "data" / "pinned_decisions.json"

@@ -8,18 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (
-    BeladyPolicy,
-    BlindOraclePolicy,
     ContractViolation,
-    LRBFollowerPolicy,
-    LRUPolicy,
-    MarkerPolicy,
     Policy,
     PredictionBundle,
-    PredictionKind,
     RunResult,
-    SwitchDeterministicPolicy,
-    SwitchRandomizedPolicy,
     Trace,
     adversarial_pinning_trace,
     build_policy,
@@ -30,6 +22,16 @@ from cachesim import (
     perfect_nrt,
     simulate,
 )
+from cachesim.policy import (
+    BeladyPolicy,
+    BlindOraclePolicy,
+    LRBFollowerPolicy,
+    LRUPolicy,
+    MarkerPolicy,
+    SwitchDeterministicPolicy,
+    SwitchRandomizedPolicy,
+)
+from cachesim.predict import PredictionKind
 from .reference_impls import lru_misses, random_trace
 
 

@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 
 from cachesim import (
     PredictionBundle,
-    PredictionKind,
     Trace,
-    belady_labels,
-    binary_from_nrt,
     flip_labels,
     inverted_nrt,
-    load_bundle_csv,
     measure_error,
     noisy_fitf,
     perfect_labels,
@@ -25,7 +21,9 @@ from cachesim import (
     save_bundle_csv,
     synthetic_nrt,
 )
+from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext, FitFFollowerPolicy
+from cachesim.predict import PredictionKind, binary_from_nrt, load_bundle_csv
 from .reference_impls import (
     fitf_page,
     generator_flip_labels,

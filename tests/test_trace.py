@@ -11,15 +11,13 @@ from cachesim import (
     SetAssociativeConfig,
     Trace,
     adversarial_pinning_trace,
-    compute_next_occurrence,
-    cyclic_trace,
     ingest_address_trace,
     ingest_brightkite,
     ingest_citibike,
     parse_plain_trace,
 )
 from .reference_impls import (
-    Request,
+    cyclic_trace,
     last_occurrence_at_or_before,
     next_occurrence_after,
     occurrences,
@@ -32,29 +30,24 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_next_occurrence_tiny():
-    assert compute_next_occurrence([0, 1, 0]) == [3, 4, 4]
+    assert Trace([0, 1, 0]).next_occurrence == [3, 4, 4]
 
 
 def test_next_occurrence_five_requests():
     # a b c b a: b recurs at 4, a at 5, everything else never again
-    assert compute_next_occurrence([0, 1, 2, 1, 0]) == [5, 4, 6, 6, 6]
-
-
-def test_next_occurrence_accepts_request_objects():
-    reqs = [Request(1, 0), Request(2, 1), Request(3, 0)]
-    assert compute_next_occurrence(reqs) == [3, 4, 4]
+    assert Trace([0, 1, 2, 1, 0]).next_occurrence == [5, 4, 6, 6, 6]
 
 
 def test_next_occurrence_matches_quadratic_reference():
     rng = np.random.default_rng(0)
     for _ in range(200):
         pages = rng.integers(0, 8, size=int(rng.integers(1, 60))).tolist()
-        assert compute_next_occurrence(pages) == quadratic_next_occurrence(pages)
+        assert Trace(pages).next_occurrence == quadratic_next_occurrence(pages)
 
 
 def test_trace_basic_properties():
     tr = Trace([5, 3, 5, 7])
-    assert len(tr) == tr.n == 4
+    assert len(tr) == 4
     assert tr.universe_size == 3
     assert tr.pages == [5, 3, 5, 7]
     assert [r.index for r in requests(tr)] == [1, 2, 3, 4]
@@ -137,7 +130,7 @@ def test_citibike_errors_carry_row_numbers():
     with pytest.raises(ValueError, match="row 3"):
         ingest_citibike(header + "60,12\n61,\n")
     with pytest.raises(ValueError, match="column"):
-        ingest_citibike("a,b\n1,2\n", start_station_column="start station id")
+        ingest_citibike("a,b\n1,2\n")
 
 
 def test_set_associative_geometry():

@@ -21,11 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (
-    BlindOraclePolicy,
     ContractViolation,
-    GuardPolicy,
     Trace,
-    belady_simulate,
     build_policy,
     flip_labels,
     inverted_nrt,
@@ -33,7 +30,9 @@ from cachesim import (
     perfect_nrt,
     synthetic_nrt,
 )
-from cachesim.policy import EvictionContext
+from cachesim.guard import GuardPolicy
+from cachesim.oracle import belady_simulate
+from cachesim.policy import BlindOraclePolicy, EvictionContext
 from .reference_impls import (
     DictLRBPolicy,
     MaxBeladyPolicy,
