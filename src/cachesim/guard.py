@@ -117,25 +117,37 @@ class GuardPolicy(Policy):
     `unrequested`, every miss on a snapshot page in phases >= 1 takes branch
     (b), and no new page is loaded more than twice in one phase.
 
+    Cost: nothing per hit. The guard takes no request hook of its own (it
+    asks for one only when its base does, and passes it on), so a hit costs
+    what it costs the base. Each eviction first catches up with the requests
+    since the previous one (`_catch_up`): one C-level pass over them, plus
+    O(1) Python work per page it removes from `unrequested`, at most k per
+    phase. The eviction itself is O(1) Python work besides the base's own
+    choice, and a phase reset is O(k).
+
     `_loads` counts the loads this phase of each new page (one outside the
     snapshot). A new page is cached only after a miss this phase, so its
     keys are exactly the new pages requested this phase, and a phase's c_q
     is the number of its keys.
     """
 
-    needs_request_hook = True
-
     def __init__(self, base: Policy):
         self.base = base
         self.name = f"guard:{base.name}"
         self.requires = base.requires
+
+    @property
+    def needs_request_hook(self) -> bool:
+        """Only when the base takes the hook, which `on_request` passes on."""
+        return self.base.needs_request_hook
 
     def victim_order(self, trace, bundle):
         return self.base.victim_order(trace, bundle)
 
     def begin_run(self, trace, k, bundle, rng):
         self.base.begin_run(trace, k, bundle, rng)
-        self._base_hook = self.base.on_request if self.base.needs_request_hook else None
+        self._pages = trace.pages
+        self._seen = 0  # requests accounted for
         self.unrequested = _RandomSet()
         self.guarded: set[PageId] = set()
         self.evicted_this_phase: set[PageId] = set()
@@ -163,8 +175,51 @@ class GuardPolicy(Policy):
         self._n = self._o = self._n_new = self._n_old = 0
         self.phase += 1
 
+    def _catch_up(self, t: int) -> None:
+        """Account for the requests after the last one accounted for, up to
+        and including request t. Before the first eviction (phase 0) they are
+        cold fills and hits on them, so each distinct page was loaded once.
+        After it, every miss evicts, so they are hits, and each page touched
+        for the first time this phase leaves `unrequested`, in request order,
+        as it would have on its hit."""
+        if t > self._seen:
+            window, self._seen = self._pages[self._seen:t], t
+            if not self.phase:
+                self._loads.update(dict.fromkeys(window, 1))
+                return
+            # `discard` inlined: a call per page costs more than the pass
+            pos, items = self.unrequested._pos, self.unrequested._items
+            for page in filter(pos.__contains__, window):
+                idx = pos.pop(page)
+                last = items.pop()
+                if idx < len(items):
+                    items[idx] = last
+                    pos[last] = idx
+
+    def _evicted(self, victim, page, now: int) -> None:
+        """Record the eviction of `victim` at request `now` and the load of
+        `page`, requested there."""
+        if victim in self.guarded:
+            raise InvariantViolation(f"guarded page {victim!r} evicted mid-phase")
+        if victim in self.unrequested._pos:
+            self.unrequested.discard(victim)
+        self.evicted_this_phase.add(victim)
+        if page not in self.old_pages:
+            loads = self._loads.get(page, 0) + 1
+            if loads > 2:
+                raise InvariantViolation(
+                    f"new page {page!r} loaded {loads} times in phase {self.phase}"
+                )
+            self._loads[page] = loads
+        self._seen = now
+
     def choose_victim(self, ctx, rng):
-        page = ctx.requested
+        page, now = ctx.requested, ctx.now
+        # nothing to catch up with when the previous request evicted too, or
+        # when no page is left unrequested after phase 0 (`_evicted` then
+        # moves `_seen` past the requests skipped)
+        if now - 1 > self._seen and (self.unrequested._items or not self.phase):
+            self._catch_up(now - 1)
         if not self.unrequested._items:
             self._close_phase(ctx.cached)
         old = self.old_pages
@@ -172,7 +227,7 @@ class GuardPolicy(Policy):
             victim = self.unrequested.sample(rng)
             if page in self.unrequested._pos:
                 raise InvariantViolation(
-                    f"page {page!r} is both missed and marked unrequested at t={ctx.now}"
+                    f"page {page!r} is both missed and marked unrequested at t={now}"
                 )
             self.guarded.add(page)
             # re-admission: the page is back in the cache after this request
@@ -180,10 +235,11 @@ class GuardPolicy(Policy):
             self.guard_events += 1
             if len(self.guarded) > self.max_guarded:
                 self.max_guarded = len(self.guarded)
+            self.base.on_evict(victim, now)
         else:
             if page in old and self.phase >= 1:
                 raise InvariantViolation(
-                    f"snapshot page {page!r} missed at t={ctx.now} in phase "
+                    f"snapshot page {page!r} missed at t={now} in phase "
                     f"{self.phase} without having been evicted this phase"
                 )
             guarded = self.guarded
@@ -208,36 +264,23 @@ class GuardPolicy(Policy):
                 self._n_old += 1
             else:
                 self._n_new += 1
+        self._evicted(victim, page, now)
         return victim
 
     def on_request(self, page, now, hit):
-        if hit:
-            # a missed page is not cached, so it cannot be unrequested; most
-            # hits are for a page already touched this phase, so test
-            # membership before paying for the call
-            if page in self.unrequested._pos:
-                self.unrequested.discard(page)
-        elif page not in self.old_pages:
-            loads = self._loads.get(page, 0) + 1
-            if loads > 2:
-                raise InvariantViolation(
-                    f"new page {page!r} loaded {loads} times in phase {self.phase}"
-                )
-            self._loads[page] = loads
-        if self._base_hook is not None:
-            self._base_hook(page, now, hit)
+        self.base.on_request(page, now, hit)
 
-    def on_evict(self, page):
-        if page in self.guarded:
-            raise InvariantViolation(f"guarded page {page!r} evicted mid-phase")
-        if page in self.unrequested._pos:
-            self.unrequested.discard(page)
-        self.evicted_this_phase.add(page)
-        self.base.on_evict(page)
+    def on_evict(self, page, now):
+        self._catch_up(now - 1)
+        self._evicted(page, self._pages[now - 1], now)
+        self.base.on_evict(page, now)
 
     @property
     def phase_stats(self) -> list[PhaseStats]:
-        """All phases including the still-open final one."""
+        """All phases including the still-open final one. Read it once the
+        whole trace has been served: it first accounts for the requests
+        since the last eviction."""
+        self._catch_up(len(self._pages))
         return [PhaseStats(*ph) for ph in self._closed] + [PhaseStats(*self._current())]
 
 

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -178,8 +179,8 @@ def predictor_points(pred: str, sweep: str | None) -> tuple[str, list[tuple[str,
     Returns the predictor name and, per sweep point, the row's `param` label
     (the value the user gave for the swept or primary parameter, else "") and
     the typed parameters with defaults filled in. Raises ValueError for an
-    unknown predictor or parameter, a value that does not parse, or a missing
-    required parameter.
+    unknown predictor or parameter, a value that is not a finite number
+    (NaN and infinities included), or a missing required parameter.
     """
     name, given = parse_pred_spec(pred)
     entry = _PREDICTORS.get(name)
@@ -193,11 +194,16 @@ def predictor_points(pred: str, sweep: str | None) -> tuple[str, list[tuple[str,
             if param not in params:
                 raise ValueError(f"predictor {name!r} has no parameter {param!r}; "
                                  f"it takes {sorted(params) or 'no parameters'}")
+            if params[param] is str:
+                params[param] = text
+                continue
             try:
-                params[param] = text if params[param] is str else float(text)
+                params[param] = float(text)
             except ValueError:
+                params[param] = math.nan
+            if not math.isfinite(params[param]):
                 raise ValueError(f"predictor {name!r} parameter {param!r}: "
-                                 f"{text!r} is not a number") from None
+                                 f"{text!r} is not a finite number")
         for param, default in params.items():
             if default is str:
                 raise ValueError(f"predictor {name!r} needs parameter {param!r} "

@@ -1,7 +1,10 @@
 """Eviction policies and the request-replay engine.
 
 A policy sees every request through `on_request` (if it asks for the hook) and
-is consulted through `choose_victim` whenever a miss hits a full cache. One
+is consulted through `choose_victim` whenever a miss hits a full cache. A
+policy records the eviction it chooses inside `choose_victim`; the engine
+gives no separate notice. `on_evict` is only the notice a wrapper gives its
+base when it evicts a page in the base's place (the guard's redirect). One
 engine, `EvictionContext`, replays every run: `simulate` drives one over the
 whole trace, and each switching combiner drives one per sub-policy, a request
 at a time. The engine owns the cache set and per-page recency, from which a
@@ -106,7 +109,7 @@ class EvictionContext:
         self._pages = trace.pages
         # bound once per run, since a combiner lane calls advance() per request
         self._calls = (policy.on_request if policy.needs_request_hook else None,
-                       policy.choose_victim, policy.on_evict)
+                       policy.choose_victim)
         self._order = policy.victim_order(trace, bundle)
         self._heap: list[int] | None = None if self._order is None else []
 
@@ -124,7 +127,7 @@ class EvictionContext:
         order, heap = self._order, self._heap
         m = len(self._pages) + 2
         limit = 4 * k
-        hook, choose, on_evict = self._calls
+        hook, choose = self._calls
         misses = self.misses
         # kept in locals and stored once per call: an attribute store on every
         # eviction is measurable on short runs with many evictions
@@ -147,7 +150,6 @@ class EvictionContext:
                             f"{self.policy.name} chose non-candidate victim {victim!r} at t={i}"
                         )
                     cache.discard(victim)
-                    on_evict(victim)
                     evict_t, evict_victim = i, victim
                 cache.add(p)
                 last_used[p] = i
@@ -192,8 +194,9 @@ class EvictionContext:
 
 
 class Policy:
-    """Base eviction policy. Subclasses override `choose_victim` and may hook
-    `on_request` / `on_evict` for bookkeeping; one instance serves one run."""
+    """Base eviction policy. Subclasses override `choose_victim`, record there
+    the eviction they choose, and may hook `on_request` (and `on_evict`, for a
+    wrapper's notices) for bookkeeping; one instance serves one run."""
 
     name = "policy"
     requires = PredictionKind.NONE
@@ -216,10 +219,13 @@ class Policy:
         raise NotImplementedError
 
     def on_request(self, page: PageId, now: int, hit: bool) -> None:
-        """Observes every request (after the page is cached, on misses)."""
+        """Observes every request (after the page is cached, on misses) when
+        `needs_request_hook` is set; the engine reads that flag once per run."""
 
-    def on_evict(self, page: PageId) -> None:
-        """Observes every eviction, including ones forced by a wrapper."""
+    def on_evict(self, page: PageId, now: int) -> None:
+        """A wrapper evicted `page` at request `now` in this policy's place,
+        without calling its `choose_victim`. The engine never calls this: a
+        policy records the evictions it chooses itself in `choose_victim`."""
 
 
 class LRUPolicy(Policy):
@@ -247,12 +253,14 @@ class MarkerPolicy(Policy):
         pool = sorted(p for p in ctx.candidates if p not in marked)
         if not pool:
             pool = sorted(ctx.candidates)
-        return pool[uniform_index(rng, len(pool))]
+        victim = pool[uniform_index(rng, len(pool))]
+        marked.discard(victim)
+        return victim
 
     def on_request(self, page, now, hit):
         self.marked.add(page)
 
-    def on_evict(self, page):
+    def on_evict(self, page, now):
         self.marked.discard(page)
 
 

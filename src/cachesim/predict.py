@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import ne, sub
@@ -81,8 +82,8 @@ def synthetic_nrt(trace: Trace, sigma: float, seed: int = 0) -> PredictionBundle
     i.i.d. per request, rounded to an integer and floored at t + 1. sigma=0
     reproduces the truth exactly.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
     n = len(trace)
     rng = np.random.default_rng(seed)
     noise = rng.lognormal(0.0, sigma, size=n)
@@ -127,8 +128,10 @@ def pleco(trace: Trace, *, alpha: float = 1.8, offset: float = 10.0) -> Predicti
     the requested page's return probability p is its share of the total weight
     of all past accesses (p = 1 at a page's first appearance), and the
     predicted next request time is t + max(1, round(1/p)). Strictly causal.
+    Raises ValueError when a page's weight underflows to 0 in floating point,
+    which a large alpha or offset brings about.
     """
-    if alpha <= 0 or offset <= 0:
+    if not (alpha > 0 and offset > 0):
         raise ValueError("alpha and offset must be positive")
     pages = trace.pages
     n = len(pages)
@@ -140,6 +143,9 @@ def pleco(trace: Trace, *, alpha: float = 1.8, offset: float = 10.0) -> Predicti
         past = occ.get(p)
         if past:
             num = float(np.sum((i - np.asarray(past, dtype=float) + offset) ** -alpha))
+            if not (num > 0 and denom > 0):
+                raise ValueError(f"pleco weights underflow to 0 with alpha={alpha:g} and "
+                                 f"offset={offset:g}; lower alpha or offset")
             prob = num / denom
         else:
             prob = 1.0

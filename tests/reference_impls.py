@@ -5,7 +5,11 @@ simulations that can be checked by eye, so the package's optimized versions
 have something independent to agree with. The `max`-based victim choices of
 `belady`, `blind_oracle` and the offline optimum, which the package replaced
 with heaps, are kept here as the rules those heaps must reproduce, and so is
-the FITF truth found by bisecting each candidate's request list. The exact
+the FITF truth found by bisecting each candidate's request list. The guard
+and `marker` as they were when the engine told every policy of every eviction
+through `on_evict` and the guard took a hook on every request are kept too,
+with an engine that still makes that call, as the rules the lazy guard must
+reproduce. The exact
 oracles (exhaustive optimum, current 1-pages, the random 1-page policy), the
 request and occurrence helpers, the random and cyclic trace generators, and
 the generator formulas of label flipping and error measurement live here too,
@@ -22,12 +26,15 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from cachesim import (
+    InvariantViolation,
     Policy,
     PredictionBundle,
     PredictionError,
     Trace,
 )
+from cachesim.guard import PhaseStats, _RandomSet
 from cachesim.oracle import BeladyOutcome, belady_labels
+from cachesim.policy import EvictionContext
 from cachesim.predict import PredictionKind
 from cachesim.trace import PageId
 
@@ -399,3 +406,180 @@ def rb_random_policy_cost(trace: Trace, k: int, seed: int = 0) -> int:
         cache.add(p)
         last_used[p] = i
     return misses
+
+
+class EagerEvictionContext(EvictionContext):
+    """The replay engine with the earlier eviction protocol: after the policy
+    chooses a victim, the engine calls the policy's `on_evict` with it. (The
+    call comes before the engine drops the victim from the cache, which
+    neither `on_evict` below reads.)"""
+
+    __slots__ = ()
+
+    def __init__(self, policy, trace, k, bundle, rng):
+        super().__init__(policy, trace, k, bundle, rng)
+        hook, choose = self._calls
+
+        def choose_and_notify(ctx, rng):
+            victim = choose(ctx, rng)
+            policy.on_evict(victim, ctx.now)
+            return victim
+
+        self._calls = (hook, choose_and_notify)
+
+
+class EagerMarkerPolicy(Policy):
+    """`marker` that unmarks its victims in an engine-called `on_evict`
+    (run it on `EagerEvictionContext`)."""
+
+    name = "marker"
+    needs_request_hook = True
+
+    def begin_run(self, trace, k, bundle, rng):
+        self.marked: set[PageId] = set()
+
+    def choose_victim(self, ctx, rng):
+        if self.marked >= ctx.cached:
+            self.marked.clear()
+        pool = sorted(p for p in ctx.candidates if p not in self.marked)
+        if not pool:
+            pool = sorted(ctx.candidates)
+        return pool[int(rng.integers(len(pool)))]
+
+    def on_request(self, page, now, hit):
+        self.marked.add(page)
+
+    def on_evict(self, page, now):
+        self.marked.discard(page)
+
+
+class RecencyLRUPolicy(Policy):
+    """`lru` from its own recency list, kept by a hook on every request."""
+
+    name = "lru"
+    needs_request_hook = True
+
+    def begin_run(self, trace, k, bundle, rng):
+        self._recency: dict[PageId, None] = {}
+
+    def on_request(self, page, now, hit):
+        self._recency.pop(page, None)
+        self._recency[page] = None
+
+    def choose_victim(self, ctx, rng):
+        return next(p for p in self._recency if p in ctx.candidates)
+
+
+class EagerGuardPolicy(Policy):
+    """The guard as it was before it caught up lazily at evictions: a hook on
+    every request removes a hit page from `unrequested` and counts a miss's
+    load, and `on_evict`, which the engine calls after every eviction (run it
+    on `EagerEvictionContext`), records the eviction. Every invariant check
+    of the guard is made at the same point of the run."""
+
+    needs_request_hook = True
+
+    def __init__(self, base: Policy):
+        self.base = base
+        self.name = f"guard:{base.name}"
+        self.requires = base.requires
+
+    def victim_order(self, trace, bundle):
+        return self.base.victim_order(trace, bundle)
+
+    def begin_run(self, trace, k, bundle, rng):
+        self.base.begin_run(trace, k, bundle, rng)
+        self._base_hook = self.base.on_request if self.base.needs_request_hook else None
+        self.unrequested = _RandomSet()
+        self.guarded: set[PageId] = set()
+        self.evicted_this_phase: set[PageId] = set()
+        self.old_pages: set[PageId] = set()
+        self.phase = 0
+        self.max_guarded = 0
+        self.guard_events = 0
+        self._closed: list[tuple[int, int, int, int, int, int]] = []
+        self._loads: dict[PageId, int] = {}
+        self._n = self._o = self._n_new = self._n_old = 0
+
+    def _current(self) -> tuple[int, int, int, int, int, int]:
+        return (self.phase, len(self._loads), self._n, self._o, self._n_new, self._n_old)
+
+    def _close_phase(self, cached) -> None:
+        self._closed.append(self._current())
+        self.guarded.clear()
+        self.old_pages = set(cached)
+        self.unrequested.reset(cached)
+        self.evicted_this_phase.clear()
+        self._loads.clear()
+        self._n = self._o = self._n_new = self._n_old = 0
+        self.phase += 1
+
+    def choose_victim(self, ctx, rng):
+        page = ctx.requested
+        if not self.unrequested._items:
+            self._close_phase(ctx.cached)
+        old = self.old_pages
+        if page in self.evicted_this_phase:
+            victim = self.unrequested.sample(rng)
+            if page in self.unrequested._pos:
+                raise InvariantViolation(
+                    f"page {page!r} is both missed and marked unrequested at t={ctx.now}"
+                )
+            self.guarded.add(page)
+            self.evicted_this_phase.discard(page)
+            self.guard_events += 1
+            if len(self.guarded) > self.max_guarded:
+                self.max_guarded = len(self.guarded)
+        else:
+            if page in old and self.phase >= 1:
+                raise InvariantViolation(
+                    f"snapshot page {page!r} missed at t={ctx.now} in phase "
+                    f"{self.phase} without having been evicted this phase"
+                )
+            guarded = self.guarded
+            if guarded:
+                saved = ctx.excluded
+                ctx.excluded = saved | guarded if saved else guarded
+                try:
+                    victim = self.base.choose_victim(ctx, rng)
+                finally:
+                    ctx.excluded = saved
+                if victim in guarded:
+                    raise InvariantViolation(
+                        f"base policy {self.base.name!r} chose guarded page {victim!r}"
+                    )
+            else:
+                victim = self.base.choose_victim(ctx, rng)
+        if page in old:
+            self._o += 1
+        else:
+            self._n += 1
+            if victim in old:
+                self._n_old += 1
+            else:
+                self._n_new += 1
+        return victim
+
+    def on_request(self, page, now, hit):
+        if hit:
+            self.unrequested.discard(page)
+        elif page not in self.old_pages:
+            loads = self._loads.get(page, 0) + 1
+            if loads > 2:
+                raise InvariantViolation(
+                    f"new page {page!r} loaded {loads} times in phase {self.phase}"
+                )
+            self._loads[page] = loads
+        if self._base_hook is not None:
+            self._base_hook(page, now, hit)
+
+    def on_evict(self, page, now):
+        if page in self.guarded:
+            raise InvariantViolation(f"guarded page {page!r} evicted mid-phase")
+        self.unrequested.discard(page)
+        self.evicted_this_phase.add(page)
+        self.base.on_evict(page, now)
+
+    @property
+    def phase_stats(self) -> list[PhaseStats]:
+        return [PhaseStats(*ph) for ph in self._closed] + [PhaseStats(*self._current())]

@@ -274,8 +274,10 @@ def test_criterion_6_phase_counter_inequalities(
 
 class _AuditedGuard(GuardPolicy):
     """Guard wrapper that re-checks shielded/unrequested disjointness after
-    every request and eviction (the wrapper itself only checks at decision
-    points)."""
+    every request, once the guard has caught up with it, and after every
+    eviction (the wrapper itself only checks at decision points)."""
+
+    needs_request_hook = True
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
@@ -287,11 +289,13 @@ class _AuditedGuard(GuardPolicy):
 
     def on_request(self, page, now, hit):
         super().on_request(page, now, hit)
+        self._catch_up(now)
         self._audit()
 
-    def on_evict(self, page):
-        super().on_evict(page)
+    def choose_victim(self, ctx, rng):
+        victim = super().choose_victim(ctx, rng)
         self._audit()
+        return victim
 
 
 @pytest.mark.slow

@@ -214,11 +214,14 @@ def test_report_requires_phase_stats():
 
 
 class _LoadsAudit(GuardPolicy):
-    """Guard wrapper that, after every request, compares the keys of
-    `_loads` with the new pages requested since the phase began, read off
-    the request stream: the pages requested at or after the request that
-    opened the phase, less the phase's `old_pages` snapshot. It also records
-    that count per phase, so the run's c_q column can be checked."""
+    """Guard wrapper that, after every request and the guard's catch-up with
+    it, compares the keys of `_loads` with the new pages requested since the
+    phase began, read off the request stream: the pages requested at or
+    after the request that opened the phase, less the phase's `old_pages`
+    snapshot. It also records that count per phase, so the run's c_q column
+    can be checked."""
+
+    needs_request_hook = True
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
@@ -229,6 +232,7 @@ class _LoadsAudit(GuardPolicy):
 
     def on_request(self, page, now, hit):
         super().on_request(page, now, hit)
+        self._catch_up(now)
         if self.phase != len(self.phase_starts) - 1:  # this request opened a phase
             self.phase_starts.append(len(self.stream))
             self.c_q.append(0)

@@ -271,6 +271,9 @@ BAD_PREDICTORS = [
     ("perfect:sigma=3", None, "no parameters"),
     ("none", "sigma=0,5", "no parameters"),
     ("nrt:sigma=abc", None, "'sigma'.*'abc'"),
+    ("nrt:sigma=nan", None, "'sigma'.*'nan'"),
+    ("pleco:alpha=inf", None, "'alpha'.*'inf'"),
+    ("nrt", "sigma=0,inf", "'sigma'.*'inf'"),
 ]
 
 
@@ -332,6 +335,13 @@ def test_cli_error_exits(plain_trace, tmp_path, capsys):
         assert cli.main(argv + (["--sweep", sweep] if sweep else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and re.search(match, err), err
+
+
+def test_cli_pleco_underflow_is_an_input_error(plain_trace, capsys):
+    # finite, but every weight underflows to 0: an error line, not a traceback
+    assert cli.main(["--trace", str(plain_trace), "--pred", "pleco:alpha=1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha=1000" in err and "offset=10" in err, err
 
 
 class _StuckPolicy(Policy):

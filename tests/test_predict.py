@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,23 @@ def test_pleco_is_causal():
     long = Trace([0, 1, 0, 2, 1, 0, 3, 4])
     short = Trace(long.pages[:5])
     assert pleco(long).nrt[:5] == pleco(short).nrt
+
+
+def test_pleco_rejects_weights_that_underflow():
+    tr = Trace([0, 1, 0, 2, 1, 0])
+    for alpha, offset in ((1000.0, 10.0), (1.8, 1e300)):
+        with pytest.raises(ValueError, match="alpha=.*offset="):
+            pleco(tr, alpha=alpha, offset=offset)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            pleco(tr, alpha=alpha)
+
+
+def test_synthetic_nrt_rejects_sigma_that_is_not_a_finite_non_negative_number():
+    tr = Trace([0, 1, 0])
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            synthetic_nrt(tr, sigma)
 
 
 def test_popu_hand_examples():

@@ -1,13 +1,17 @@
 """The heap-ordered victim choice against the scans it replaced.
 
 `blind_oracle`, `belady`, `fitf` (for its truth) and `belady_simulate` pick
-their victims from a lazy-deletion heap, and `lrb` reads the label attached
-at each page's last request through `last_used`. On random traces with
-perfect, inverted and noisy predictions, every eviction (request index and
-victim) of these policies, bare and under `guard:`, must equal that of the
-scan-based reference in `reference_impls.py`, and the optimum's misses,
-labels and eviction events must equal the reference's. FITF answers at every
-noise level must equal those of the bisect reference, truth for truth.
+their victims from a lazy-deletion heap, `lrb` reads the label attached at
+each page's last request through `last_used`, `lru` takes the least recent
+page from the engine's `last_used`, and `marker` unmarks its victim where it
+chooses it. On random traces with perfect, inverted and noisy predictions,
+every eviction (request index and victim) of these policies, bare and under
+`guard:`, must equal that of the reference in `reference_impls.py`: a scan,
+a recency list kept by a request hook, or a `marker` that unmarks in an
+engine-called `on_evict`, each run on the eager engine and, under `guard:`,
+wrapped in the eager guard. The optimum's misses, labels and eviction events
+must equal the reference's. FITF answers at every noise level must equal
+those of the bisect reference, truth for truth.
 """
 
 from __future__ import annotations
@@ -30,13 +34,16 @@ from cachesim import (
     perfect_nrt,
     synthetic_nrt,
 )
-from cachesim.guard import GuardPolicy
 from cachesim.oracle import belady_simulate
 from cachesim.policy import BlindOraclePolicy, EvictionContext
 from .reference_impls import (
     DictLRBPolicy,
+    EagerEvictionContext,
+    EagerGuardPolicy,
+    EagerMarkerPolicy,
     MaxBeladyPolicy,
     MaxBlindOraclePolicy,
+    RecencyLRUPolicy,
     bisect_noisy_fitf,
     max_belady_simulate,
     random_trace,
@@ -47,11 +54,15 @@ from .reference_impls import (
 PAIRS = (
     ("blind_oracle", MaxBlindOraclePolicy, "nrt"),
     ("belady", MaxBeladyPolicy, "nrt"),
-    ("guard:blind_oracle", lambda: GuardPolicy(MaxBlindOraclePolicy()), "nrt"),
+    ("guard:blind_oracle", lambda: EagerGuardPolicy(MaxBlindOraclePolicy()), "nrt"),
     ("lrb", DictLRBPolicy, "labels"),
-    ("guard:lrb", lambda: GuardPolicy(DictLRBPolicy()), "labels"),
+    ("guard:lrb", lambda: EagerGuardPolicy(DictLRBPolicy()), "labels"),
     ("fitf", MaxBeladyPolicy, "fitf"),
-    ("guard:fitf", lambda: GuardPolicy(MaxBeladyPolicy()), "fitf"),
+    ("guard:fitf", lambda: EagerGuardPolicy(MaxBeladyPolicy()), "fitf"),
+    ("lru", RecencyLRUPolicy, None),
+    ("guard:lru", lambda: EagerGuardPolicy(RecencyLRUPolicy()), None),
+    ("marker", EagerMarkerPolicy, None),
+    ("guard:marker", lambda: EagerGuardPolicy(EagerMarkerPolicy()), None),
 )
 # each regime's NRT stream and its share of flipped labels
 REGIMES = {
@@ -61,9 +72,9 @@ REGIMES = {
 }
 
 
-def eviction_log(policy, trace, k, bundle, seed):
+def eviction_log(policy, trace, k, bundle, seed, engine_cls=EvictionContext):
     """Every (request index, victim) of one run, and the engine that ran it."""
-    engine = EvictionContext(policy, trace, k, bundle, np.random.default_rng(seed))
+    engine = engine_cls(policy, trace, k, bundle, np.random.default_rng(seed))
     log = []
     for i in range(1, len(trace) + 1):
         engine.advance(i)
@@ -79,10 +90,10 @@ def check_against_reference(trace, k, regime, seed):
     bundles = {"nrt": nrt(trace, seed), "labels": flip_labels(trace, k, p_flip, seed=seed)}
     rebuilds = shielded = 0
     for spec, reference, kind in PAIRS:
-        bundle = bundles.get(kind) or noisy_fitf(trace, k, 0.0, seed=seed)
+        bundle = noisy_fitf(trace, k, 0.0, seed=seed) if kind == "fitf" else bundles.get(kind)
         policy = build_policy(spec)
         got, engine = eviction_log(policy, trace, k, bundle, seed)
-        want, _ = eviction_log(reference(), trace, k, bundle, seed)
+        want, _ = eviction_log(reference(), trace, k, bundle, seed, EagerEvictionContext)
         assert got == want, f"{spec}: first difference at eviction " + str(
             next(j for j, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b))
         rebuilds += engine.rebuilds
