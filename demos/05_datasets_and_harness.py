@@ -14,7 +14,6 @@ from pathlib import Path
 
 from cachesim import (
     ExperimentConfig,
-    SetAssociativeConfig,
     ingest_address_trace,
     ingest_brightkite,
     ingest_citibike,
@@ -30,7 +29,7 @@ checkins = """\
 9	2010-10-14T18:10:42Z	39.74	-104.99	loc_c
 9	2010-10-13T11:01:01Z	39.75	-104.98	loc_b
 """
-for user, trace in ingest_brightkite(checkins, cache_size=2, min_distinct=3):
+for user, trace in ingest_brightkite(checkins, cache_size=1):
     print(f"user {user}: {len(trace)} check-ins, {trace.universe_size} distinct places")
     # rows arrive newest-first in the raw log; the adapter re-sorts by time
 
@@ -47,7 +46,7 @@ print(f"trips: stations requested in order {trace.pages}")
 
 # --- raw address streams: pages are 64-byte lines, split per cache set --------
 addresses = "0x1000\n0x1040\n4096\n0x2000\n0x1000\n"
-sets = ingest_address_trace(addresses, SetAssociativeConfig(ways=2))
+sets = ingest_address_trace(addresses, ways=2)
 for index, set_trace in sorted(sets.items()):
     print(f"cache set {index}: lines {set_trace.pages}")
 

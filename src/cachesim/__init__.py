@@ -44,7 +44,6 @@ from .predict import (
     synthetic_nrt,
 )
 from .trace import (
-    SetAssociativeConfig,
     Trace,
     adversarial_pinning_trace,
     ingest_address_trace,
@@ -65,7 +64,6 @@ __all__ = [
     "PredictionError",
     "RunResult",
     "RunTable",
-    "SetAssociativeConfig",
     "Trace",
     "adversarial_pinning_trace",
     "build_policy",

@@ -1,7 +1,9 @@
 """Command-line front end for running cache-replacement experiments.
 
-Exit codes: 0 on success, 1 on configuration or input errors, 2 when
-``--assert-invariants`` is set and a run violates a structural invariant.
+Exit codes: 0 on success (and for ``--help``), 1 on configuration or input
+errors (malformed flags, ``--config`` keys or values, unreadable or malformed
+traces and predictor files), 2 when ``--assert-invariants`` is set and a run
+violates a structural invariant.
 """
 
 from __future__ import annotations
@@ -43,7 +45,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+_WANT = {bool: "true or false", int: "an integer", str: "a string"}
+
+
+def _check_config_values(data: dict, parser: argparse.ArgumentParser) -> None:
+    """Check each --config value against what its flag takes: true or false
+    for a switch, else the flag's type (`seeds` may also list integers)."""
+    kinds = {a.dest: bool if a.nargs == 0 else a.type or str for a in parser._actions}
+    for key, value in data.items():
+        kind = kinds[key]
+        if type(value) is kind or (key == "seeds" and type(value) is list
+                                   and all(type(s) is int for s in value)):
+            continue
+        want = _WANT[kind] + (" or a list of integers" if key == "seeds" else "")
+        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """Merge the --config file with the flags given (flags win); `run` validates."""
     flags = vars(args)
     config_path = flags.pop("config", None)
@@ -51,9 +69,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
+        if type(data) is not dict:
+            raise ValueError(f"config file {config_path} must hold a JSON object")
     unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_config_values(data, parser)
     data.update(flags)
     if "trace" not in data:
         raise ValueError("--trace is required (directly or via --config)")
@@ -67,9 +88,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
     try:
-        config = _config_from_args(args)
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed command line
+        return 1 if exc.code == 2 else exc.code
+    try:
+        config = _config_from_args(args, parser)
         table = run(config)
     except (InvariantViolation, ContractViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .guard import InvariantViolation, phase_report, phase_stats_csv
 from .oracle import opt_cost
-from .policy import RunResult, build_policy, simulate
+from .policy import build_policy, simulate
 from .predict import (
     PredictionBundle,
     binary_from_nrt,
@@ -39,7 +39,6 @@ from .predict import (
     synthetic_nrt,
 )
 from .trace import (
-    SetAssociativeConfig,
     Trace,
     ingest_address_trace,
     ingest_brightkite,
@@ -105,7 +104,7 @@ def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
         return [(f"user:{user}", tr) for user, tr in pairs]
     if fmt == "citi":
         return [("citi", ingest_citibike(text))]
-    sets = ingest_address_trace(text, SetAssociativeConfig(ways=k))  # fmt == "addr"
+    sets = ingest_address_trace(text, ways=k)  # fmt == "addr"
     return [(f"set:{idx}", tr) for idx, tr in sorted(sets.items())]
 
 
@@ -224,13 +223,16 @@ class _OptCache:
     file is loaded, so the next save removes them.
 
     Always memoised in memory; persisted to a JSON file when the cache
-    directory environment variable is set. The file is replaced atomically,
-    and a file that cannot be read or written gives a `RuntimeWarning`, after
-    which the run goes on with the optimum it computed.
+    directory environment variable is set: `save`, which `run` calls once at
+    its end, writes the file when counts were added since the last write. The
+    file is replaced atomically, and a file that cannot be read or written
+    gives a `RuntimeWarning`, after which the run goes on with the optimum it
+    computed.
     """
 
     def __init__(self):
         self._mem: dict[str, int] = {}
+        self._added = False
         self._path: Path | None = None
         cache_dir = os.environ.get(CACHE_DIR_ENV)
         if cache_dir:
@@ -250,13 +252,16 @@ class _OptCache:
         key = f"{_OPT_SCHEMA}{trace.digest}:{k}"
         opt = self._mem.get(key)
         if opt is None:
-            opt = opt_cost(trace, k)
-            self._mem[key] = opt
-            if self._path is not None:
-                self._save(self._path)
+            opt = self._mem[key] = opt_cost(trace, k)
+            self._added = True
         return opt
 
-    def _save(self, path: Path) -> None:
+    def save(self) -> None:
+        """Write the file, if one is set and counts were added since the last write."""
+        if self._path is None or not self._added:
+            return
+        self._added = False
+        path = self._path
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -283,9 +288,7 @@ def _fmt(value) -> str:
 class RunTable:
     """Result of one experiment: per-run rows plus per-sweep-point means."""
 
-    config: ExperimentConfig
     rows: list[dict]
-    results: list[RunResult]
 
     def mean_ratios(self) -> dict[str, float]:
         """Aggregate mean ratio per sweep-point, keyed by the param column."""
@@ -327,10 +330,10 @@ def replay_subtrace(
     bundle: PredictionBundle | None,
     seed: int,
     param: str,
-) -> tuple[RunResult, dict[str, float], str]:
+) -> tuple[dict[str, float], str]:
     """Replay one sub-trace under one seed.
 
-    Returns the result, the record that `run` sums per seed (misses, opt,
+    Returns the record that `run` sums per seed (misses, opt,
     `wall_ms`, plus `eta_t`, `eta_b` and the FITF wrong answers and queries
     when there is a bundle), and this run's `.phases.csv` section ("" if none).
     """
@@ -349,7 +352,7 @@ def replay_subtrace(
             raise InvariantViolation(f"{where}: " + "; ".join(report.violations))
         if config.phase_stats:
             section = f"# {where}\n" + phase_stats_csv(report.phases)
-    return result, record, section
+    return record, section
 
 
 def run(config: ExperimentConfig) -> RunTable:
@@ -367,7 +370,6 @@ def run(config: ExperimentConfig) -> RunTable:
     predictor = _PREDICTORS[pred_name]
 
     rows: list[dict] = []
-    results: list[RunResult] = []
     sections: list[str] = []
     for param, params in points:
         fixed = {"policy": config.policy, "predictor": pred_name, "param": param}
@@ -379,9 +381,8 @@ def run(config: ExperimentConfig) -> RunTable:
                 if predictor.seeded or label not in bundles:
                     bundles[label] = (None if predictor.build is None
                                       else predictor.build(tr, k, params, seed))
-                result, record, section = replay_subtrace(
+                record, section = replay_subtrace(
                     config, k, label, tr, bundles[label], seed, param)
-                results.append(result)
                 records.append(record)
                 sections.append(section)
             total = {key: sum(r[key] for r in records) for key in records[0]}
@@ -397,7 +398,8 @@ def run(config: ExperimentConfig) -> RunTable:
         rows += seed_rows
         rows.append(mean)
 
-    table = RunTable(config=config, rows=rows, results=results)
+    _opt_cache.save()
+    table = RunTable(rows)
     phases = "".join(sections)
     if config.out is not None:
         out_path = table.write_csv(config.out)

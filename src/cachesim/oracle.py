@@ -22,12 +22,10 @@ class BeladyOutcome:
     """Result of one offline-optimal simulation."""
 
     misses: int
-    eviction_events: list[tuple[int, PageId]]  # (request index, evicted page)
     labels: list[int]  # per-request 1-page / 0-page flags
-    states: list[frozenset] | None = None  # cache contents after each request
 
 
-def belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> BeladyOutcome:
+def belady_simulate(trace: Trace, k: int) -> BeladyOutcome:
     """Serve the trace with Belady's rule on a k-slot cache.
 
     Victims come from a lazy-deletion min-heap with one integer key per
@@ -46,8 +44,6 @@ def belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> Be
     heap: list[int] = []
     limit = 4 * k
     labels = [0] * len(pages)
-    events: list[tuple[int, PageId]] = []
-    states: list[frozenset] | None = [] if collect_states else None
     misses = 0
     for i, p in enumerate(pages, 1):
         if p not in cache:
@@ -59,16 +55,13 @@ def belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> Be
                     if cache.get(victim) == t:
                         break
                 labels[t - 1] = 1
-                events.append((i, victim))
                 del cache[victim]
         cache[p] = i
         heappush(heap, i - nxt[i - 1] * m)
         if len(heap) > limit:
             heap = [t - nxt[t - 1] * m for t in cache.values()]
             heapify(heap)
-        if states is not None:
-            states.append(frozenset(cache))
-    return BeladyOutcome(misses, events, labels, states)
+    return BeladyOutcome(misses, labels)
 
 
 def opt_cost(trace: Trace, k: int) -> int:

@@ -21,6 +21,7 @@ then keeps a heap of them, and the policy takes its victim in O(log k) from
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -238,30 +239,31 @@ class LRUPolicy(Policy):
 class MarkerPolicy(Policy):
     """Randomized marking: pages are marked on request; when a miss finds all
     cached pages marked, all marks drop (a new marking phase) and the victim
-    is drawn uniformly from the unmarked candidates."""
+    is drawn uniformly from the unmarked candidates. A cached page is marked
+    when its last request (`ctx.last_used`) is at or after the request that
+    last cleared the marks (0 before the first), so no request hook is needed."""
 
     name = "marker"
-    needs_request_hook = True
 
     def begin_run(self, trace, k, bundle, rng):
-        self.marked: set[PageId] = set()
+        self._cleared = 0
 
     def choose_victim(self, ctx, rng):
-        marked = self.marked
-        if marked >= ctx.cached:
-            marked.clear()
-        pool = sorted(p for p in ctx.candidates if p not in marked)
-        if not pool:
-            pool = sorted(ctx.candidates)
-        victim = pool[uniform_index(rng, len(pool))]
-        marked.discard(victim)
-        return victim
+        last_used, cleared, candidates = ctx.last_used, self._cleared, ctx.candidates
+        unmarked = [p for p in candidates if last_used[p] < cleared]
+        # no unmarked candidate: the marks drop (a new phase) when no cached
+        # page is unmarked either; the draw is over all candidates either way
+        if not unmarked and not any(last_used[p] < cleared for p in ctx.cached):
+            self._cleared = ctx.now
+        return _draw(unmarked, candidates, rng)
 
-    def on_request(self, page, now, hit):
-        self.marked.add(page)
 
-    def on_evict(self, page, now):
-        self.marked.discard(page)
+def _draw(accepted: list[PageId], candidates: set[PageId], rng: np.random.Generator) -> PageId:
+    """A uniform draw from the sorted `accepted` candidates (those a policy's
+    test accepts), else from all sorted `candidates`; sorts `accepted` in place."""
+    pool = accepted or list(candidates)
+    pool.sort()
+    return pool[uniform_index(rng, len(pool))]
 
 
 class _FurthestValuePolicy(Policy):
@@ -301,11 +303,8 @@ class LRBFollowerPolicy(Policy):
     requires = PredictionKind.BINARY
 
     def choose_victim(self, ctx, rng):
-        labels, last_used = ctx.predictions.labels, ctx.last_used
-        pool = sorted(p for p in ctx.candidates if labels[last_used[p] - 1])
-        if not pool:
-            pool = sorted(ctx.candidates)
-        return pool[uniform_index(rng, len(pool))]
+        labels, last_used, candidates = ctx.predictions.labels, ctx.last_used, ctx.candidates
+        return _draw([p for p in candidates if labels[last_used[p] - 1]], candidates, rng)
 
 
 class FitFFollowerPolicy(Policy):
@@ -379,8 +378,8 @@ class SwitchDeterministicPolicy(_CombinerBase):
     soon as the active one's virtual miss count exceeds bound x the passive's."""
 
     def __init__(self, a: Policy, b: Policy, bound: float = 1.0):
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < bound < math.inf:
+            raise ValueError(f"bound must be finite and positive, got {bound!r}")
         super().__init__(a, b)
         self.bound = bound
         self.name = f"switch_det({a.name},{b.name},{_fmt_num(bound)})"

@@ -297,7 +297,10 @@ def load_bundle_csv(path: str | Path) -> PredictionBundle:
             continue
         if len(row) != 2:
             raise ValueError(f"row {rownum}: expected 2 fields")
-        idx, val = int(row[0]), int(float(row[1]))
+        try:
+            idx, val = int(row[0]), int(float(row[1]))
+        except (ValueError, OverflowError):  # OverflowError: an infinite value
+            raise ValueError(f"row {rownum}: expected an index and a finite number") from None
         if idx != len(values) + 1:
             raise ValueError(f"row {rownum}: indices must be consecutive from 1")
         values.append(val)

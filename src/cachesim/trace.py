@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
 from typing import Iterable
 
 PageId = int
@@ -80,18 +79,14 @@ def parse_plain_trace(text: str) -> Trace:
     return Trace([interned.setdefault(tok, len(interned)) for tok in tokens])
 
 
-def ingest_brightkite(
-    text: str, *, cache_size: int = 10, min_distinct: int | None = None
-) -> list[tuple[str, Trace]]:
+def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Trace]]:
     """Split a BrightKite-style check-in dump into per-user location traces.
 
     Expects five tab-separated columns per line: user, check-in time, latitude,
     longitude, location id. Check-ins are ordered chronologically per user and
-    the location id becomes the page. Users with fewer than ``min_distinct``
-    distinct locations (default: twice the cache size) are dropped.
+    the location id becomes the page. Users with fewer than twice
+    ``cache_size`` distinct locations are dropped.
     """
-    if min_distinct is None:
-        min_distinct = 2 * cache_size
     by_user: dict[str, list[tuple[str, str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
@@ -114,7 +109,7 @@ def ingest_brightkite(
     for user, rows in by_user.items():
         rows.sort(key=lambda r: r[0])  # timestamps are ISO-like; lexicographic == chronological
         locs = [loc for _, loc in rows]
-        if len(set(locs)) < min_distinct:
+        if len(set(locs)) < 2 * cache_size:
             continue
         interned: dict[str, int] = {}
         out.append((user, Trace([interned.setdefault(l, len(interned)) for l in locs])))
@@ -143,47 +138,28 @@ def ingest_citibike(text: str) -> Trace:
             raise ValueError(f"row {rownum}: missing station id")
         try:
             pages.append(int(float(val)))
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: an infinite id
             raise ValueError(f"row {rownum}: unparsable station id {val!r}") from None
     if not pages:
         raise ValueError("empty trace")
     return Trace(pages)
 
 
-@dataclass(frozen=True)
-class SetAssociativeConfig:
-    """Geometry of a set-associative cache used to shard address traces."""
-
-    capacity_bytes: int = 2 * 1024 * 1024
-    line_bytes: int = 64
-    ways: int = 16
-
-    def __post_init__(self):
-        if self.capacity_bytes <= 0 or self.line_bytes <= 0 or self.ways <= 0:
-            raise ValueError("cache geometry values must be positive")
-        if self.capacity_bytes % self.line_bytes:
-            raise ValueError("line_bytes must divide capacity_bytes")
-        if (self.capacity_bytes // self.line_bytes) % self.ways:
-            raise ValueError("ways must divide the number of lines")
-
-    @property
-    def num_lines(self) -> int:
-        return self.capacity_bytes // self.line_bytes
-
-    @property
-    def num_sets(self) -> int:
-        return self.num_lines // self.ways
+_ADDR_LINE_BYTES = 64
+_ADDR_LINES = 2 * 1024 * 1024 // _ADDR_LINE_BYTES  # lines of a 2 MiB cache
 
 
-def ingest_address_trace(text: str, config: SetAssociativeConfig) -> dict[int, Trace]:
-    """Map raw memory addresses onto cache sets; one independent trace per set.
+def ingest_address_trace(text: str, ways: int) -> dict[int, Trace]:
+    """Map raw memory addresses onto the sets of a 2 MiB, ``ways``-way cache
+    with 64-byte lines; one independent trace per set.
 
     Addresses are hex (``0x`` prefix) or decimal, one per line. The page is the
-    line address ``addr // line_bytes``; its set is ``line_address % num_sets``.
-    Simulate each per-set trace with k = ``config.ways``.
+    line address ``addr // 64``; its set is ``line_address % num_sets``, with
+    ``num_sets = 32768 // ways``. Simulate each per-set trace with k = ``ways``.
     """
-    num_sets = config.num_sets
-    line_bytes = config.line_bytes
+    if ways < 1 or _ADDR_LINES % ways:
+        raise ValueError(f"ways must be a positive divisor of {_ADDR_LINES} lines, got {ways}")
+    num_sets = _ADDR_LINES // ways
     per_set: dict[int, list[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         tok = raw.strip()
@@ -195,7 +171,7 @@ def ingest_address_trace(text: str, config: SetAssociativeConfig) -> dict[int, T
             raise ValueError(f"line {lineno}: unparsable address {tok!r}") from None
         if addr < 0:
             raise ValueError(f"line {lineno}: negative address {tok!r}")
-        line_addr = addr // line_bytes
+        line_addr = addr // _ADDR_LINE_BYTES
         per_set.setdefault(line_addr % num_sets, []).append(line_addr)
     if not per_set:
         raise ValueError("empty trace")

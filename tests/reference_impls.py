@@ -4,7 +4,9 @@ Everything here trades speed for obviousness: quadratic scans and direct
 simulations that can be checked by eye, so the package's optimized versions
 have something independent to agree with. The `max`-based victim choices of
 `belady`, `blind_oracle` and the offline optimum, which the package replaced
-with heaps, are kept here as the rules those heaps must reproduce, and so is
+with heaps, are kept here as the rules those heaps must reproduce (the
+optimum's with the eviction events and cache states that only the tests
+read), and so is
 the FITF truth found by bisecting each candidate's request list. The guard
 and `marker` as they were when the engine told every policy of every eviction
 through `on_evict` and the guard took a hook on every request are kept too,
@@ -33,7 +35,7 @@ from cachesim import (
     Trace,
 )
 from cachesim.guard import PhaseStats, _RandomSet
-from cachesim.oracle import BeladyOutcome, belady_labels
+from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext
 from cachesim.predict import PredictionKind
 from cachesim.trace import PageId
@@ -259,7 +261,18 @@ def generator_measure_error(bundle: PredictionBundle, trace: Trace,
     return PredictionError(eta_b=sum(a != b for a, b in zip(bundle.labels, truth)))
 
 
-def max_belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> BeladyOutcome:
+@dataclass
+class MaxBeladyOutcome:
+    """`belady_simulate`'s misses and labels, with the eviction events and
+    (on request) cache states that only the tests read."""
+
+    misses: int
+    eviction_events: list[tuple[int, PageId]]  # (request index, evicted page)
+    labels: list[int]
+    states: list[frozenset] | None = None  # cache contents after each request
+
+
+def max_belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -> MaxBeladyOutcome:
     """`belady_simulate` by a scan of the whole cache on each eviction."""
     pages = trace.pages
     nxt = trace.next_occurrence
@@ -281,7 +294,7 @@ def max_belady_simulate(trace: Trace, k: int, *, collect_states: bool = False) -
         last_used[p] = i
         if states is not None:
             states.append(frozenset(cache))
-    return BeladyOutcome(misses, events, labels, states)
+    return MaxBeladyOutcome(misses, events, labels, states)
 
 
 def fitf_page(

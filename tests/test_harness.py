@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,6 @@ import pytest
 from cachesim import (
     ExperimentConfig,
     Policy,
-    SetAssociativeConfig,
     ingest_address_trace,
     ingest_brightkite,
     opt_cost,
@@ -111,9 +111,11 @@ def test_csv_predictor_without_path_is_an_input_error(plain_trace, capsys):
 
 def test_brightkite_rows_sum_over_users():
     text = (DATA / "brightkite_sample.tsv").read_text()
+    users = ingest_brightkite(text, cache_size=10)
+    assert len(users) == 3  # users 101, 202, and the boundary user 404
     expected = 0
     expected_opt = 0
-    for _user, tr in ingest_brightkite(text, cache_size=10):
+    for _user, tr in users:
         res = simulate(LRUPolicy(), tr, 10)
         expected += res.misses
         expected_opt += res.opt_misses
@@ -121,16 +123,15 @@ def test_brightkite_rows_sum_over_users():
                                  format="brightkite", k=10))
     row = table.rows[0]
     assert (row["misses"], row["opt"]) == (expected, expected_opt)
-    assert len(table.results) == 3  # users 101, 202, and the boundary user 404
 
 
 def test_address_rows_sum_over_sets():
     text = (DATA / "addr_sample.txt").read_text()
-    sets = ingest_address_trace(text, SetAssociativeConfig(ways=16))
+    sets = ingest_address_trace(text, 16)
+    assert len(sets) == 3
     expected = sum(simulate(LRUPolicy(), tr, 16).misses for tr in sets.values())
     table = run(ExperimentConfig(trace=DATA / "addr_sample.txt", format="addr"))
     assert table.rows[0]["misses"] == expected
-    assert len(table.results) == len(sets) == 3
 
 
 def test_phase_companion_file(plain_trace, tmp_path):
@@ -214,6 +215,26 @@ def test_corrupt_opt_cache_warns_and_is_replaced(corrupt, plain_trace, tmp_path,
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
 
+def test_opt_cache_is_written_once_per_run(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
+    writes = []
+    replace = harness.os.replace
+
+    def counted(src, dst):
+        writes.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", counted)
+    config = ExperimentConfig(trace=DATA / "brightkite_sample.tsv", format="brightkite",
+                              k=10, seeds=[0, 1])
+    run(config)
+    assert writes == [tmp_path / "opt_cache.json"]
+    assert len(json.loads(writes[0].read_text())) == 3  # one optimum per user
+    run(config)  # every optimum is known: nothing to write
+    assert len(writes) == 1
+
+
 def test_unwritable_opt_cache_warns_and_keeps_results(plain_trace, tmp_path, monkeypatch):
     monkeypatch.delenv(harness.CACHE_DIR_ENV, raising=False)
     monkeypatch.setattr(harness, "_opt_cache", _OptCache())
@@ -239,11 +260,12 @@ def test_label_sweep_runs_belady_once_per_trace_and_k(monkeypatch):
     monkeypatch.delenv(harness.CACHE_DIR_ENV, raising=False)
     monkeypatch.setattr(harness, "_opt_cache", _OptCache())
     monkeypatch.setattr(oracle, "belady_simulate", counted)
-    table = run(ExperimentConfig(trace=DATA / "brightkite_sample.tsv", format="brightkite",
-                                 k=10, policy="guard:lrb", pred="binary",
-                                 sweep="p_flip=0,0.5,1", seeds=[0, 1]))
-    users = len(table.results) // 6
+    config = ExperimentConfig(trace=DATA / "brightkite_sample.tsv", format="brightkite",
+                              k=10, policy="guard:lrb", pred="binary",
+                              sweep="p_flip=0,0.5,1", seeds=[0, 1])
+    users = len(harness.load_traces(config))
     assert users == 3
+    assert len(run(config).rows) == 9  # (2 seeds + mean) per sweep point
     # one optimum and one set of labels per user, however many replays
     assert len(calls) == 2 * users
 
@@ -335,6 +357,77 @@ def test_cli_error_exits(plain_trace, tmp_path, capsys):
         assert cli.main(argv + (["--sweep", sweep] if sweep else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and re.search(match, err), err
+    # malformed flags keep argparse's message but exit 1: 2 means an invariant broke
+    for argv in (["--k", "abc"], ["--format", "nope"], ["--no-such-flag"]):
+        assert cli.main(["--trace", str(plain_trace)] + argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cachesim") and "cachesim: error:" in err, err
+    assert cli.main(["--help"]) == 0
+
+
+# --config values of the wrong type, with what the error names
+BAD_CONFIG_VALUES = [
+    ({"k": "2"}, "'k' must be an integer"),
+    ({"k": True}, "'k' must be an integer"),
+    ({"k": 2.0}, "'k' must be an integer"),
+    ({"policy": 5}, "'policy' must be a string"),
+    ({"pred": None}, "'pred' must be a string"),
+    ({"trace": ["t.txt"]}, "'trace' must be a string"),
+    ({"seeds": "3"}, "'seeds' must be an integer or a list of integers"),
+    ({"seeds": True}, "'seeds' must be an integer or a list of integers"),
+    ({"seeds": 2.0}, "'seeds' must be an integer or a list of integers"),
+    ({"seeds": [0, "1"]}, "'seeds' must be an integer or a list of integers"),
+    ({"seeds": [0, False]}, "'seeds' must be an integer or a list of integers"),
+    ({"phase_stats": "yes"}, "'phase_stats' must be true or false"),
+    ({"assert_invariants": 1}, "'assert_invariants' must be true or false"),
+]
+
+
+@pytest.mark.parametrize("values,match", BAD_CONFIG_VALUES)
+def test_cli_config_values_are_type_checked(values, match, plain_trace, tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"trace": str(plain_trace), "k": 2, **values}))
+    assert cli.main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and match in err, err
+
+
+def test_cli_config_checks_every_flag_it_can_hold():
+    # the checked keys come from the parser: every config field is a flag
+    dests = {action.dest for action in cli._build_parser()._actions}
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= dests
+
+
+def test_cli_config_values_of_the_right_type_run(plain_trace, tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "trace": str(plain_trace), "format": "plain", "k": 2, "policy": "guard:lru",
+        "pred": "none", "seeds": [0, 3], "out": str(tmp_path / "res.csv"),
+        "phase_stats": True, "assert_invariants": False,
+    }))
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert (tmp_path / "res.csv.phases.csv").exists()
+    cfg.write_text(json.dumps([str(plain_trace)]))
+    assert cli.main(["--config", str(cfg)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_cli_non_finite_numbers_are_input_errors(plain_trace, tmp_path, capsys):
+    bundle = tmp_path / "preds.csv"
+    bundle.write_text("index,predicted_nrt\n1,inf\n")
+    rides = tmp_path / "rides.csv"
+    rides.write_text("tripduration,start station id\n60,12\n61,inf\n")
+    cases = [
+        (["--trace", str(plain_trace), "--policy", "blind_oracle",
+          "--pred", f"csv:path={bundle}"], "row 2"),
+        (["--trace", str(rides), "--format", "citi"], "row 3"),
+        (["--trace", str(plain_trace), "--policy", "switch_det(lru,marker,nan)"], "bound"),
+        (["--trace", str(plain_trace), "--policy", "switch_det(lru,marker,inf)"], "bound"),
+    ]
+    for argv, match in cases:
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err, err
 
 
 def test_cli_pleco_underflow_is_an_input_error(plain_trace, capsys):

@@ -239,6 +239,12 @@ def test_combiner_parameter_validation():
         SwitchRandomizedPolicy(LRUPolicy(), BeladyPolicy(), beta=1.0)
 
 
+@pytest.mark.parametrize("param", ["nan", "inf", "-inf", "0", "-1"])
+def test_switch_det_bound_must_be_finite_and_positive(param):
+    with pytest.raises(ValueError, match="bound must be finite and positive"):
+        build_policy(f"switch_det(lru,marker,{param})")
+
+
 # --- policy spec grammar -----------------------------------------------------
 
 

@@ -246,6 +246,14 @@ def test_bundle_csv_rejects_gaps(tmp_path):
         load_bundle_csv(path)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "x"])
+def test_bundle_csv_rejects_values_that_are_not_finite_numbers(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,predicted_nrt\n1,2\n2,{value}\n")
+    with pytest.raises(ValueError, match="row 3"):
+        load_bundle_csv(path)
+
+
 def test_bundle_payload_validation():
     with pytest.raises(ValueError):
         PredictionBundle(kind=PredictionKind.NRT)

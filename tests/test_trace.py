@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cachesim import (
-    SetAssociativeConfig,
     Trace,
     adversarial_pinning_trace,
     ingest_address_trace,
@@ -100,7 +99,7 @@ def test_brightkite_sorts_checkins_chronologically():
         "7\t2010-01-01T00:00:00Z\t0.0\t0.0\tfirst\n"
         "7\t2010-02-01T00:00:00Z\t0.0\t0.0\tmid\n"
     )
-    pairs = ingest_brightkite(text, cache_size=1, min_distinct=1)
+    pairs = ingest_brightkite(text, cache_size=1)  # keeps users with >= 2 places
     assert pairs[0][1].pages == [0, 1, 2]  # first, mid, later after sorting
 
 
@@ -133,29 +132,36 @@ def test_citibike_errors_carry_row_numbers():
         ingest_citibike("a,b\n1,2\n")
 
 
+@pytest.mark.parametrize("station", ["inf", "-inf", "nan"])
+def test_citibike_rejects_station_ids_that_are_not_finite(station):
+    with pytest.raises(ValueError, match="row 3"):
+        ingest_citibike(f"tripduration,start station id\n60,12\n61,{station}\n")
+
+
 def test_set_associative_geometry():
-    cfg = SetAssociativeConfig()  # 2 MiB, 64 B lines, 16 ways
-    assert cfg.num_lines == 32768
-    assert cfg.num_sets == 2048
-    with pytest.raises(ValueError):
-        SetAssociativeConfig(capacity_bytes=100, line_bytes=64)
-    with pytest.raises(ValueError):
-        SetAssociativeConfig(ways=7)
+    # 2 MiB of 64-byte lines is 32768 lines: 2048 sets at 16 ways, 32768 at 1
+    far = 32768 * 64  # byte address of line 32768
+    assert set(ingest_address_trace(f"0\n{far // 16}\n", 16)) == {0}
+    assert set(ingest_address_trace(f"0\n{far // 16}\n", 1)) == {0, 2048}
+    assert set(ingest_address_trace(f"0\n{far}\n", 1)) == {0}
+    for ways in (7, 0, -16, 65536):
+        with pytest.raises(ValueError, match="ways"):
+            ingest_address_trace("0x0\n", ways)
 
 
 def test_address_trace_set_mapping():
     # bytes 0 and 131072 live 2048 lines apart: same set, different pages
-    sets = ingest_address_trace("0x0\n131072\n0x40\n", SetAssociativeConfig())
+    sets = ingest_address_trace("0x0\n131072\n0x40\n", 16)
     assert sets[0].pages == [0, 2048]
     assert sets[1].pages == [1]
     with pytest.raises(ValueError, match="line 2"):
-        ingest_address_trace("0x0\nnothex\n", SetAssociativeConfig())
+        ingest_address_trace("0x0\nnothex\n", 16)
     with pytest.raises(ValueError, match="line 1"):
-        ingest_address_trace("-4\n", SetAssociativeConfig())
+        ingest_address_trace("-4\n", 16)
 
 
 def test_address_fixture_sets():
-    sets = ingest_address_trace((DATA / "addr_sample.txt").read_text(), SetAssociativeConfig())
+    sets = ingest_address_trace((DATA / "addr_sample.txt").read_text(), 16)
     assert set(sets) == {0, 1, 5}
     assert 0 in sets[0].pages and 2048 in sets[0].pages
 
