@@ -118,12 +118,12 @@ class GuardPolicy(Policy):
     (b), and no new page is loaded more than twice in one phase.
 
     Cost: nothing per hit. The guard takes no request hook of its own (it
-    asks for one only when its base does, and passes it on), so a hit costs
-    what it costs the base. Each eviction first catches up with the requests
-    since the previous one (`_catch_up`): one C-level pass over them, plus
-    O(1) Python work per page it removes from `unrequested`, at most k per
-    phase. The eviction itself is O(1) Python work besides the base's own
-    choice, and a phase reset is O(k).
+    asks for one only when its base does, and passes it on). An eviction is
+    one Python frame besides the base's choice, with `_catch_up` and the
+    record inline: a C-level pass over the requests since the previous
+    eviction, O(1) Python work per page it removes from `unrequested` (at
+    most k per phase), and O(1) to record the eviction. A phase reset is
+    O(k). A redirect notifies the base only when the base takes notices.
 
     `_loads` counts the loads this phase of each new page (one outside the
     snapshot). A new page is cached only after a miss this phase, so its
@@ -145,7 +145,10 @@ class GuardPolicy(Policy):
         return self.base.victim_order(trace, bundle)
 
     def begin_run(self, trace, k, bundle, rng):
-        self.base.begin_run(trace, k, bundle, rng)
+        base = self.base
+        base.begin_run(trace, k, bundle, rng)
+        # a redirect's notice, for a base that overrides `on_evict`
+        self._notify = None if type(base).on_evict is Policy.on_evict else base.on_evict
         self._pages = trace.pages
         self._seen = 0  # requests accounted for
         self.unrequested = _RandomSet()
@@ -164,24 +167,13 @@ class GuardPolicy(Policy):
     def _current(self) -> tuple[int, int, int, int, int, int]:
         return (self.phase, len(self._loads), self._n, self._o, self._n_new, self._n_old)
 
-    def _close_phase(self, cached) -> None:
-        self._closed.append(self._current())
-        self.guarded.clear()
-        self.old_pages.clear()
-        self.old_pages.update(cached)
-        self.unrequested.reset(cached)
-        self.evicted_this_phase.clear()
-        self._loads.clear()
-        self._n = self._o = self._n_new = self._n_old = 0
-        self.phase += 1
-
     def _catch_up(self, t: int) -> None:
         """Account for the requests after the last one accounted for, up to
         and including request t. Before the first eviction (phase 0) they are
         cold fills and hits on them, so each distinct page was loaded once.
         After it, every miss evicts, so they are hits, and each page touched
         for the first time this phase leaves `unrequested`, in request order,
-        as it would have on its hit."""
+        as it would have on its hit. `choose_victim` does the same inline."""
         if t > self._seen:
             window, self._seen = self._pages[self._seen:t], t
             if not self.phase:
@@ -196,53 +188,57 @@ class GuardPolicy(Policy):
                     items[idx] = last
                     pos[last] = idx
 
-    def _evicted(self, victim, page, now: int) -> None:
-        """Record the eviction of `victim` at request `now` and the load of
-        `page`, requested there."""
-        if victim in self.guarded:
-            raise InvariantViolation(f"guarded page {victim!r} evicted mid-phase")
-        if victim in self.unrequested._pos:
-            self.unrequested.discard(victim)
-        self.evicted_this_phase.add(victim)
-        if page not in self.old_pages:
-            loads = self._loads.get(page, 0) + 1
-            if loads > 2:
-                raise InvariantViolation(
-                    f"new page {page!r} loaded {loads} times in phase {self.phase}"
-                )
-            self._loads[page] = loads
-        self._seen = now
-
     def choose_victim(self, ctx, rng):
         page, now = ctx.requested, ctx.now
-        # nothing to catch up with when the previous request evicted too, or
-        # when no page is left unrequested after phase 0 (`_evicted` then
-        # moves `_seen` past the requests skipped)
-        if now - 1 > self._seen and (self.unrequested._items or not self.phase):
-            self._catch_up(now - 1)
-        if not self.unrequested._items:
-            self._close_phase(ctx.cached)
-        old = self.old_pages
-        if page in self.evicted_this_phase:
-            victim = self.unrequested.sample(rng)
-            if page in self.unrequested._pos:
+        unrequested = self.unrequested
+        items, pos = unrequested._items, unrequested._pos
+        seen = self._seen
+        if now - 1 > seen:  # not when the previous request evicted too
+            if items:
+                for p in filter(pos.__contains__, self._pages[seen:now - 1]):
+                    idx = pos.pop(p)
+                    last = items.pop()
+                    if idx < len(items):
+                        items[idx] = last
+                        pos[last] = idx
+            elif not self.phase:
+                self._loads.update(dict.fromkeys(self._pages[seen:now - 1], 1))
+        if not items:  # a new phase
+            self._closed.append((self.phase, len(self._loads), self._n, self._o,
+                                 self._n_new, self._n_old))
+            self.old_pages = set(ctx.cached)
+            unrequested._items = items = list(ctx.cached)
+            unrequested._pos = pos = dict(zip(items, range(len(items))))
+            self.guarded.clear()
+            self.evicted_this_phase.clear()
+            self._loads.clear()
+            self._n = self._o = self._n_new = self._n_old = 0
+            self.phase += 1
+        old, guarded, evicted = self.old_pages, self.guarded, self.evicted_this_phase
+        if page in evicted:
+            if not items:
+                raise InvariantViolation("sample from empty unrequested-page set")
+            victim = items[uniform_index(rng, len(items))]
+            if page in pos:
                 raise InvariantViolation(
                     f"page {page!r} is both missed and marked unrequested at t={now}"
                 )
-            self.guarded.add(page)
+            if victim in guarded:
+                raise InvariantViolation(f"guarded page {victim!r} evicted mid-phase")
+            guarded.add(page)
             # re-admission: the page is back in the cache after this request
-            self.evicted_this_phase.discard(page)
+            evicted.discard(page)
             self.guard_events += 1
-            if len(self.guarded) > self.max_guarded:
-                self.max_guarded = len(self.guarded)
-            self.base.on_evict(victim, now)
+            if len(guarded) > self.max_guarded:
+                self.max_guarded = len(guarded)
+            if self._notify is not None:
+                self._notify(victim, now)
         else:
             if page in old and self.phase >= 1:
                 raise InvariantViolation(
                     f"snapshot page {page!r} missed at t={now} in phase "
                     f"{self.phase} without having been evicted this phase"
                 )
-            guarded = self.guarded
             if guarded:
                 saved = ctx.excluded
                 ctx.excluded = saved | guarded if saved else guarded
@@ -256,6 +252,13 @@ class GuardPolicy(Policy):
                     )
             else:
                 victim = self.base.choose_victim(ctx, rng)
+        idx = pos.pop(victim, None)
+        if idx is not None:
+            last = items.pop()
+            if idx < len(items):
+                items[idx] = last
+                pos[last] = idx
+        evicted.add(victim)
         if page in old:
             self._o += 1
         else:
@@ -264,15 +267,35 @@ class GuardPolicy(Policy):
                 self._n_old += 1
             else:
                 self._n_new += 1
-        self._evicted(victim, page, now)
+            loads = self._loads.get(page, 0) + 1
+            if loads > 2:
+                raise InvariantViolation(
+                    f"new page {page!r} loaded {loads} times in phase {self.phase}"
+                )
+            self._loads[page] = loads
+        self._seen = now
         return victim
 
     def on_request(self, page, now, hit):
         self.base.on_request(page, now, hit)
 
     def on_evict(self, page, now):
+        """A wrapper evicted `page` at request `now` in this guard's place:
+        record it and the load there as `choose_victim` records its own."""
         self._catch_up(now - 1)
-        self._evicted(page, self._pages[now - 1], now)
+        if page in self.guarded:
+            raise InvariantViolation(f"guarded page {page!r} evicted mid-phase")
+        self.unrequested.discard(page)
+        self.evicted_this_phase.add(page)
+        loaded = self._pages[now - 1]
+        if loaded not in self.old_pages:
+            loads = self._loads.get(loaded, 0) + 1
+            if loads > 2:
+                raise InvariantViolation(
+                    f"new page {loaded!r} loaded {loads} times in phase {self.phase}"
+                )
+            self._loads[loaded] = loads
+        self._seen = now
         self.base.on_evict(page, now)
 
     @property
@@ -294,16 +317,6 @@ class PhaseReport:
     The counters also account for the run's whole cost: with U distinct pages
     in the trace, misses == min(k, U) + sum(n_q + o_q), since only cold fills
     evict nothing and every other miss is counted once in n_q or o_q.
-
-    The comparison of opt against sum(n_q_old) is reported separately as
-    `literal_upper_ok` (opt <= sum(n_q_old)) and `reverse_lower_ok`
-    (sum(n_q_old) <= opt). Neither direction is a guarantee, so both flags
-    are diagnostics, not violations. The upper leg contradicts
-    1-consistency: n_q_old counts a subset of the eviction-causing misses,
-    so sum(n_q_old) <= misses - min(k, U), and a run that costs exactly opt
-    has sum(n_q_old) < opt. The reverse leg fails on adversarial runs, where
-    sum(n_q_old) is bounded only by sum(c_q) <= 2*opt. Both flags are None
-    when the run never left phase 0 or opt is unknown.
     """
 
     phases: list[PhaseStats]
@@ -311,8 +324,6 @@ class PhaseReport:
     violations: list[str]
     c_sum: int
     n_old_sum: int
-    literal_upper_ok: bool | None
-    reverse_lower_ok: bool | None
 
 
 def phase_report(run: RunResult) -> PhaseReport:
@@ -333,21 +344,14 @@ def phase_report(run: RunResult) -> PhaseReport:
     c_sum = sum(ph.c_q for ph in phases)
     n_old_sum = sum(ph.n_q_old for ph in phases)
     opt = run.opt_misses
-    literal_upper_ok = reverse_lower_ok = None
-    if opt is not None:
-        if c_sum > 2 * opt:
-            violations.append(f"global: sum(c_q)={c_sum} > 2*opt={2 * opt}")
-        if phases[-1].q >= 1:
-            literal_upper_ok = opt <= n_old_sum
-            reverse_lower_ok = n_old_sum <= opt
+    if opt is not None and c_sum > 2 * opt:
+        violations.append(f"global: sum(c_q)={c_sum} > 2*opt={2 * opt}")
     return PhaseReport(
         phases=phases,
         opt_misses=opt,
         violations=violations,
         c_sum=c_sum,
         n_old_sum=n_old_sum,
-        literal_upper_ok=literal_upper_ok,
-        reverse_lower_ok=reverse_lower_ok,
     )
 
 

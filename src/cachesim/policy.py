@@ -83,12 +83,15 @@ class EvictionContext:
     entry is the page with the largest value, the least recently used among
     equal values (indices are unique, so live keys never tie). It is rebuilt
     from the cache when it grows past 4k entries, so it holds O(k) entries.
+    Only pushes grow it, one per request, so the engine counts down the
+    pushes left before it can outgrow that limit and checks its length only
+    then: it rebuilds at the same requests as a check on every request would.
     """
 
     __slots__ = ("now", "requested", "cached", "excluded", "predictions",
                  "last_used", "policy", "k", "rng", "misses", "served",
                  "last_evict_t", "last_evict_victim", "rebuilds",
-                 "_pages", "_order", "_heap", "_calls")
+                 "_pages", "_order", "_heap", "_calls", "_pushes_left")
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
                  bundle: PredictionBundle | None, rng: np.random.Generator):
@@ -113,6 +116,7 @@ class EvictionContext:
                        policy.choose_victim)
         self._order = policy.victim_order(trace, bundle)
         self._heap: list[int] | None = None if self._order is None else []
+        self._pushes_left = 4 * k + 1
 
     @property
     def candidates(self) -> set[PageId]:
@@ -133,6 +137,7 @@ class EvictionContext:
         # kept in locals and stored once per call: an attribute store on every
         # eviction is measurable on short runs with many evictions
         evict_t, evict_victim = self.last_evict_t, self.last_evict_victim
+        left = self._pushes_left
         i = self.served
         for p in self._pages[i:until]:
             i += 1
@@ -158,10 +163,15 @@ class EvictionContext:
                     hook(p, i, False)
             if heap is not None:
                 heappush(heap, i - order[i - 1] * m)
-                if len(heap) > limit:
-                    heap[:] = [t - order[t - 1] * m for t in map(last_used.__getitem__, cache)]
-                    heapify(heap)
-                    self.rebuilds += 1
+                left -= 1
+                if not left:
+                    if len(heap) > limit:
+                        heap[:] = [t - order[t - 1] * m
+                                   for t in map(last_used.__getitem__, cache)]
+                        heapify(heap)
+                        self.rebuilds += 1
+                    left = limit + 1 - len(heap)
+        self._pushes_left = left
         self.served = i
         self.misses = misses
         self.last_evict_t, self.last_evict_victim = evict_t, evict_victim
@@ -255,15 +265,9 @@ class MarkerPolicy(Policy):
         # page is unmarked either; the draw is over all candidates either way
         if not unmarked and not any(last_used[p] < cleared for p in ctx.cached):
             self._cleared = ctx.now
-        return _draw(unmarked, candidates, rng)
-
-
-def _draw(accepted: list[PageId], candidates: set[PageId], rng: np.random.Generator) -> PageId:
-    """A uniform draw from the sorted `accepted` candidates (those a policy's
-    test accepts), else from all sorted `candidates`; sorts `accepted` in place."""
-    pool = accepted or list(candidates)
-    pool.sort()
-    return pool[uniform_index(rng, len(pool))]
+        pool = unmarked or list(candidates)
+        pool.sort()
+        return pool[uniform_index(rng, len(pool))]
 
 
 class _FurthestValuePolicy(Policy):
@@ -304,7 +308,9 @@ class LRBFollowerPolicy(Policy):
 
     def choose_victim(self, ctx, rng):
         labels, last_used, candidates = ctx.predictions.labels, ctx.last_used, ctx.candidates
-        return _draw([p for p in candidates if labels[last_used[p] - 1]], candidates, rng)
+        pool = [p for p in candidates if labels[last_used[p] - 1]] or list(candidates)
+        pool.sort()
+        return pool[uniform_index(rng, len(pool))]
 
 
 class FitFFollowerPolicy(Policy):
@@ -382,7 +388,7 @@ class SwitchDeterministicPolicy(_CombinerBase):
             raise ValueError(f"bound must be finite and positive, got {bound!r}")
         super().__init__(a, b)
         self.bound = bound
-        self.name = f"switch_det({a.name},{b.name},{_fmt_num(bound)})"
+        self.name = f"switch_det({a.name},{b.name},{bound:g})"
 
     def _after_step(self, miss_a, miss_b):
         active, passive = self.active, 1 - self.active
@@ -400,7 +406,7 @@ class SwitchRandomizedPolicy(_CombinerBase):
             raise ValueError("beta must lie strictly between 0 and 1")
         super().__init__(a, b)
         self.beta = beta
-        self.name = f"switch_rand({a.name},{b.name},{_fmt_num(beta)})"
+        self.name = f"switch_rand({a.name},{b.name},{beta:g})"
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
@@ -415,10 +421,6 @@ class SwitchRandomizedPolicy(_CombinerBase):
     def _select_active(self, rng):
         w0, w1 = self.weights
         self.active = 0 if float(rng.random()) < w0 / (w0 + w1) else 1
-
-
-def _fmt_num(x: float) -> str:
-    return f"{x:g}"
 
 
 POLICY_FACTORIES: dict[str, type[Policy]] = {

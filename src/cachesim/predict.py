@@ -185,12 +185,17 @@ def noisy_fitf(trace: Trace, k: int, epsilon: float, seed: int = 0) -> Predictio
         raise ValueError("epsilon must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     bundle = PredictionBundle(PredictionKind.FITF)
+    # `float(rng.random())` without the call: the same value and state after.
+    # `rng` is a default so that the Generator owning `state` outlives `choice`
+    bits = rng.bit_generator.ctypes
+    next_double, state = bits.next_double, bits.state_address
 
-    def choice(ctx: EvictionContext) -> PageId:
+    def choice(ctx: EvictionContext, _rng=rng) -> PageId:
         truth = answer = ctx.furthest()
-        u = float(rng.random())
+        u = next_double(state)
         if u < epsilon:
-            others = sorted(c for c in ctx.candidates if c != truth)
+            others = sorted(ctx.candidates)
+            others.remove(truth)
             if others:
                 idx = min(int(u / epsilon * len(others)), len(others) - 1)
                 answer = others[idx]
@@ -280,7 +285,8 @@ def save_bundle_csv(bundle: PredictionBundle, path: str | Path) -> None:
 
 
 def load_bundle_csv(path: str | Path) -> PredictionBundle:
-    """Read a bundle written by `save_bundle_csv`; the header names the kind."""
+    """Read a bundle written by `save_bundle_csv`; the header names the kind.
+    A value may be written as a float (`7.0`) but must be whole."""
     rows = list(csv.reader(io.StringIO(Path(path).read_text())))
     if not rows:
         raise ValueError("empty bundle file")
@@ -298,12 +304,14 @@ def load_bundle_csv(path: str | Path) -> PredictionBundle:
         if len(row) != 2:
             raise ValueError(f"row {rownum}: expected 2 fields")
         try:
-            idx, val = int(row[0]), int(float(row[1]))
-        except (ValueError, OverflowError):  # OverflowError: an infinite value
-            raise ValueError(f"row {rownum}: expected an index and a finite number") from None
+            idx, val = int(row[0]), float(row[1])
+            if not val.is_integer():  # a fraction, or not finite
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"row {rownum}: expected an index and a whole number") from None
         if idx != len(values) + 1:
             raise ValueError(f"row {rownum}: indices must be consecutive from 1")
-        values.append(val)
+        values.append(int(val))
     if kind is PredictionKind.NRT:
         return PredictionBundle(kind, nrt=values)
     return PredictionBundle(kind, labels=values)

@@ -117,7 +117,8 @@ def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Tra
 
 
 def ingest_citibike(text: str) -> Trace:
-    """Read a bike-share ride CSV; each ride's start station id becomes one request."""
+    """Read a bike-share ride CSV; each ride's start station id becomes one
+    request. An id may be written as a float (`205.0`) but must be whole."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -137,9 +138,12 @@ def ingest_citibike(text: str) -> Trace:
         if not val:
             raise ValueError(f"row {rownum}: missing station id")
         try:
-            pages.append(int(float(val)))
-        except (ValueError, OverflowError):  # OverflowError: an infinite id
-            raise ValueError(f"row {rownum}: unparsable station id {val!r}") from None
+            page = float(val)
+            if not page.is_integer():  # a fraction, or not finite
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
+        pages.append(int(page))
     if not pages:
         raise ValueError("empty trace")
     return Trace(pages)

@@ -11,11 +11,13 @@ the FITF truth found by bisecting each candidate's request list. The guard
 and `marker` as they were when the engine told every policy of every eviction
 through `on_evict` and the guard took a hook on every request are kept too,
 with an engine that still makes that call, as the rules the lazy guard must
-reproduce. The exact
-oracles (exhaustive optimum, current 1-pages, the random 1-page policy), the
-request and occurrence helpers, the random and cyclic trace generators, and
-the generator formulas of label flipping and error measurement live here too,
-because only the tests use them.
+reproduce. So is the engine that compared the heap's length with its limit
+on every request, which the countdown to the next rebuild must reproduce.
+The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
+policy), the request and occurrence helpers, the random and cyclic trace
+generators, the generator formulas of label flipping and error measurement,
+and the comparison of the optimum with a guarded run's old-page evictions
+live here too, because only the tests use them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappush
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -36,7 +39,7 @@ from cachesim import (
 )
 from cachesim.guard import PhaseStats, _RandomSet
 from cachesim.oracle import belady_labels
-from cachesim.policy import EvictionContext
+from cachesim.policy import ContractViolation, EvictionContext
 from cachesim.predict import PredictionKind
 from cachesim.trace import PageId
 
@@ -441,6 +444,54 @@ class EagerEvictionContext(EvictionContext):
         self._calls = (hook, choose_and_notify)
 
 
+class LengthCheckEvictionContext(EvictionContext):
+    """The replay engine as it was before it counted down the pushes to the
+    heap's next rebuild: it compares the heap's length with its limit after
+    every push."""
+
+    __slots__ = ()
+
+    def advance(self, until: int) -> None:
+        k = self.k
+        rng = self.rng
+        cache = self.cached
+        last_used = self.last_used
+        order, heap = self._order, self._heap
+        m = len(self._pages) + 2
+        limit = 4 * k
+        hook, choose = self._calls
+        i = self.served
+        for p in self._pages[i:until]:
+            i += 1
+            if p in cache:
+                last_used[p] = i
+                if hook is not None:
+                    hook(p, i, True)
+            else:
+                self.misses += 1
+                if len(cache) == k:
+                    self.now = i
+                    self.requested = p
+                    victim = choose(self, rng)
+                    if victim not in cache:
+                        raise ContractViolation(
+                            f"{self.policy.name} chose non-candidate victim {victim!r} at t={i}"
+                        )
+                    cache.discard(victim)
+                    self.last_evict_t, self.last_evict_victim = i, victim
+                cache.add(p)
+                last_used[p] = i
+                if hook is not None:
+                    hook(p, i, False)
+            if heap is not None:
+                heappush(heap, i - order[i - 1] * m)
+                if len(heap) > limit:
+                    heap[:] = [t - order[t - 1] * m for t in map(last_used.__getitem__, cache)]
+                    heapify(heap)
+                    self.rebuilds += 1
+        self.served = i
+
+
 class EagerMarkerPolicy(Policy):
     """`marker` that unmarks its victims in an engine-called `on_evict`
     (run it on `EagerEvictionContext`)."""
@@ -596,3 +647,22 @@ class EagerGuardPolicy(Policy):
     @property
     def phase_stats(self) -> list[PhaseStats]:
         return [PhaseStats(*ph) for ph in self._closed] + [PhaseStats(*self._current())]
+
+
+def opt_against_old_evictions(phases: list[PhaseStats],
+                              opt: int | None) -> tuple[bool | None, bool | None]:
+    """Whether opt <= sum(n_q_old) (the literal upper leg) and whether
+    sum(n_q_old) <= opt (the reverse lower leg) in a guarded run's phases.
+
+    Neither direction is a guarantee, so both are diagnostics, not
+    violations. The upper leg contradicts 1-consistency: n_q_old counts a
+    subset of the eviction-causing misses, so sum(n_q_old) <= misses -
+    min(k, U), and a run that costs exactly opt has sum(n_q_old) < opt. The
+    reverse leg fails on adversarial runs, where sum(n_q_old) is bounded only
+    by sum(c_q) <= 2*opt. Both are None when the run never left phase 0 or
+    opt is unknown.
+    """
+    if opt is None or phases[-1].q < 1:
+        return None, None
+    n_old_sum = sum(ph.n_q_old for ph in phases)
+    return opt <= n_old_sum, n_old_sum <= opt

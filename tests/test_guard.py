@@ -26,7 +26,7 @@ from cachesim import (
 )
 from cachesim.guard import GuardPolicy, PhaseStats, _RandomSet, harmonic
 from cachesim.policy import LRUPolicy
-from .reference_impls import cyclic_trace, random_trace
+from .reference_impls import cyclic_trace, opt_against_old_evictions, random_trace
 
 
 def test_harmonic_values():
@@ -95,8 +95,9 @@ def test_phase_counters_frozen_example():
     # 6 misses = 3 cold fills + (0 + 2 + 1) eviction-causing misses
     assert res.misses == min(3, tr.universe_size) + sum(ph.n_q + ph.o_q for ph in rep.phases)
     # even this perfectly predicted run leaves sum(n_q_old) below opt
-    assert rep.literal_upper_ok is False
-    assert rep.reverse_lower_ok is True
+    literal_upper_ok, reverse_lower_ok = opt_against_old_evictions(rep.phases, rep.opt_misses)
+    assert literal_upper_ok is False
+    assert reverse_lower_ok is True
 
 
 def test_phase_stats_csv_format():
@@ -151,7 +152,7 @@ def test_cyclic_pressure_frozen_counters():
     assert rep.c_sum == 31 and rep.n_old_sum == 29
     # 60 misses = 2 cold fills + 58 eviction-causing misses
     assert sum(ph.n_q + ph.o_q for ph in rep.phases) == 58
-    assert rep.literal_upper_ok is False and rep.reverse_lower_ok is True
+    assert opt_against_old_evictions(rep.phases, rep.opt_misses) == (False, True)
 
 
 def test_single_slot_cache_degenerates_cleanly():

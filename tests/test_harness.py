@@ -430,6 +430,22 @@ def test_cli_non_finite_numbers_are_input_errors(plain_trace, tmp_path, capsys):
         assert err.startswith("error:") and match in err, err
 
 
+def test_cli_fractional_numbers_are_input_errors(plain_trace, tmp_path, capsys):
+    bundle = tmp_path / "preds.csv"
+    bundle.write_text("index,predicted_nrt\n1,2.7\n")
+    rides = tmp_path / "rides.csv"
+    rides.write_text("tripduration,start station id\n60,12\n61,12.7\n")
+    cases = [
+        (["--trace", str(plain_trace), "--policy", "blind_oracle",
+          "--pred", f"csv:path={bundle}"], "row 2"),
+        (["--trace", str(rides), "--format", "citi"], "row 3"),
+    ]
+    for argv, match in cases:
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err and "whole number" in err, err
+
+
 def test_cli_pleco_underflow_is_an_input_error(plain_trace, capsys):
     # finite, but every weight underflows to 0: an error line, not a traceback
     assert cli.main(["--trace", str(plain_trace), "--pred", "pleco:alpha=1000"]) == 1

@@ -14,6 +14,7 @@ Regenerate the data file (only when a change of results is intended) with
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def _bundle(kind, trace, k, seed):
     return None
 
 
-def replay_spec(spec: str) -> dict[str, list]:
+def replay_spec(spec: str, make_bundle=_bundle) -> dict[str, list]:
     """Results of every (trace, k, seed) run of one spec, keyed by run."""
     out = {}
     for t, (n, universe) in enumerate(TRACES):
@@ -76,7 +77,7 @@ def replay_spec(spec: str) -> dict[str, list]:
         for k in KS:
             for seed in SEEDS:
                 policy = build_policy(spec)
-                bundle = _bundle(policy.requires, trace, k, seed)
+                bundle = make_bundle(policy.requires, trace, k, seed)
                 res = simulate(policy, trace, k, bundle, seed=seed, compute_opt=False)
                 row = [res.misses]
                 if bundle is not None and bundle.kind is PredictionKind.FITF:
@@ -102,6 +103,23 @@ def test_results_match_pinned_values(spec, pinned):
         f"{spec}: {len(diffs)} runs differ, first {diffs[:3]}: "
         + "; ".join(f"{key} got {got.get(key)} want {want[key]}" for key in diffs[:3])
     )
+
+
+@pytest.mark.parametrize("spec", ["fitf", "guard:fitf", "switch_rand(fitf,marker)"])
+def test_fitf_bundle_keeps_its_generator_alive(spec, pinned):
+    # a FITF choice draws through the address of its Generator's state; once
+    # the caller holds no reference to the Generator, collect what can be
+    # collected and build other Generators, which would take the memory of
+    # one that died, before the replay
+    decoys = []
+
+    def collected_bundle(kind, trace, k, seed):
+        bundle = _bundle(kind, trace, k, seed)
+        gc.collect()
+        decoys.extend(np.random.default_rng(10_000 + seed + j) for j in range(8))
+        return bundle
+
+    assert replay_spec(spec, collected_bundle) == pinned[spec]
 
 
 if __name__ == "__main__":

@@ -254,6 +254,21 @@ def test_bundle_csv_rejects_values_that_are_not_finite_numbers(tmp_path, value):
         load_bundle_csv(path)
 
 
+@pytest.mark.parametrize("value", ["2.7", "3.5", "0.1"])
+def test_bundle_csv_rejects_fractional_values(tmp_path, value):
+    # truncating would read 2.7 as 2
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,predicted_nrt\n1,2\n2,{value}\n")
+    with pytest.raises(ValueError, match="row 3.*whole number"):
+        load_bundle_csv(path)
+
+
+def test_bundle_csv_reads_whole_values_written_as_floats(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("index,predicted_nrt\n1,2.0\n2,4\n3,5e0\n")
+    assert load_bundle_csv(path).nrt == [2, 4, 5]
+
+
 def test_bundle_payload_validation():
     with pytest.raises(ValueError):
         PredictionBundle(kind=PredictionKind.NRT)

@@ -138,6 +138,18 @@ def test_citibike_rejects_station_ids_that_are_not_finite(station):
         ingest_citibike(f"tripduration,start station id\n60,12\n61,{station}\n")
 
 
+@pytest.mark.parametrize("station", ["12.7", "12.5", "-0.5", "1e-3"])
+def test_citibike_rejects_fractional_station_ids(station):
+    # truncating would merge 12.7 with station 12
+    with pytest.raises(ValueError, match="row 3.*not a whole number"):
+        ingest_citibike(f"tripduration,start station id\n60,12\n61,{station}\n")
+
+
+def test_citibike_reads_whole_station_ids_written_as_floats():
+    tr = ingest_citibike("tripduration,start station id\n60,205.0\n61,205\n62,1e2\n")
+    assert tr.pages == [205, 205, 100]
+
+
 def test_set_associative_geometry():
     # 2 MiB of 64-byte lines is 32768 lines: 2048 sets at 16 ways, 32768 at 1
     far = 32768 * 64  # byte address of line 32768

@@ -1,11 +1,14 @@
-"""`uniform_index` against the `Generator.integers` call it replaces.
+"""The package's direct draws against the `Generator` calls they replace.
 
 Every bounded draw of a run (the guard's redirects, `lrb` and `marker`
 picks) goes through `uniform_index`, so a seed reproduces a run only if the
 helper returns what `int(rng.integers(n))` returns and leaves the bit
 generator where that call leaves it. Each example replays one sequence of
 draws, interleaved with `rng.random()` calls, on two generators seeded
-alike: one through the helper and one through numpy.
+alike: one through the helper and one through numpy. The FITF choice of
+`noisy_fitf` draws its unit float through the bit generator's
+`ctypes.next_double`, which must likewise return what `float(rng.random())`
+returns and leave the same state.
 """
 
 from __future__ import annotations
@@ -54,6 +57,26 @@ def test_uniform_index_replays_generator_integers(bit_generator, seed, ops):
             got = uniform_index(ours, n)
             assert type(got) is int
             assert got == int(numpy.integers(n))
+    assert same_state(ours.bit_generator.state, numpy.bit_generator.state)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.lists(st.one_of(st.sampled_from(BOUNDS), st.none()), max_size=60),
+)
+def test_next_double_replays_generator_random(bit_generator, seed, ops):
+    ours = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
+    numpy = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
+    bits = ours.bit_generator.ctypes
+    for n in ops:
+        if n is None:
+            got = bits.next_double(bits.state_address)
+            assert type(got) is float
+            assert got == float(numpy.random())
+        else:  # a bounded draw between unit ones
+            assert uniform_index(ours, n) == int(numpy.integers(n))
     assert same_state(ours.bit_generator.state, numpy.bit_generator.state)
 
 

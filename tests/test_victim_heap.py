@@ -11,7 +11,10 @@ a recency list kept by a request hook, or a `marker` that unmarks in an
 engine-called `on_evict`, each run on the eager engine and, under `guard:`,
 wrapped in the eager guard. The optimum's misses and labels must equal the
 reference's. FITF answers at every noise level must equal
-those of the bisect reference, truth for truth.
+those of the bisect reference, truth for truth. The engine's countdown to
+the heap's next rebuild must rebuild at the same requests as the engine that
+compares the heap's length with its limit on every request, bare, under
+`guard:` and in combiner lanes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cachesim.policy
 from cachesim import (
     ContractViolation,
     Trace,
@@ -41,6 +45,7 @@ from .reference_impls import (
     EagerEvictionContext,
     EagerGuardPolicy,
     EagerMarkerPolicy,
+    LengthCheckEvictionContext,
     MaxBeladyPolicy,
     MaxBlindOraclePolicy,
     RecencyLRUPolicy,
@@ -180,3 +185,51 @@ def test_fitf_truths_and_evictions_match_bisect_reference(seed, n, k, spread, ep
     assert got == want
     assert (bundle.fitf_queries, bundle.fitf_wrong) == (
         reference.fitf_queries, reference.fitf_wrong)
+
+
+# heap-ordered policies bare, guarded and as combiner lanes, which the
+# combiner advances a request at a time
+COUNTDOWN_SPECS = (
+    "blind_oracle", "belady", "fitf", "guard:blind_oracle", "guard:fitf",
+    "switch_det(blind_oracle,belady)", "switch_rand(belady,blind_oracle)",
+    "switch_rand(fitf,belady,0.9)", "guard:switch_det(fitf,belady,1.5)",
+)
+
+
+def heap_engines(engine):
+    """The engine and every lane engine inside its policy, outermost first."""
+    yield engine
+    policy = engine.policy
+    while not hasattr(policy, "lanes") and hasattr(policy, "base"):
+        policy = policy.base
+    for lane in getattr(policy, "lanes", ()):
+        yield from heap_engines(lane)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 10, 100))
+@pytest.mark.parametrize("spec", COUNTDOWN_SPECS)
+def test_rebuild_countdown_matches_length_check(spec, k):
+    trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
+
+    def bundle(seed):
+        kind = build_policy(spec).requires.value
+        if kind == "nrt":
+            return synthetic_nrt(trace, 1.0, seed=seed)
+        return noisy_fitf(trace, k, 0.5, seed=seed) if kind == "fitf" else None
+
+    for seed in (0, 1):
+        with mock.patch.object(cachesim.policy, "EvictionContext", LengthCheckEvictionContext):
+            # the lanes of the reference run on the reference engine too
+            want, reference = eviction_log(build_policy(spec), trace, k, bundle(seed), seed,
+                                           LengthCheckEvictionContext)
+        got, engine = eviction_log(build_policy(spec), trace, k, bundle(seed), seed)
+        assert got == want
+        assert {type(e) for e in heap_engines(reference)} == {LengthCheckEvictionContext}
+        rebuilds = [e.rebuilds for e in heap_engines(reference)]
+        assert [e.rebuilds for e in heap_engines(engine)] == rebuilds
+        assert sum(rebuilds) > 0
+        # served in one call, as `simulate` serves it
+        whole = EvictionContext(build_policy(spec), trace, k, bundle(seed),
+                                np.random.default_rng(seed))
+        whole.advance(len(trace))
+        assert (whole.misses, whole.rebuilds) == (engine.misses, engine.rebuilds)
