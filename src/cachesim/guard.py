@@ -40,43 +40,6 @@ def robustness_bound(k: int) -> float:
     return 2.0 * harmonic(k) + 2.0
 
 
-class _RandomSet:
-    """Set of page ids with O(1) add, discard, and uniform sampling."""
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self, items=()):
-        self.reset(items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __contains__(self, page):
-        return page in self._pos
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def reset(self, items) -> None:
-        self._items = list(items)
-        self._pos = dict(zip(self._items, range(len(self._items))))
-
-    def discard(self, page) -> None:
-        idx = self._pos.pop(page, None)
-        if idx is None:
-            return
-        items = self._items
-        last = items.pop()
-        if idx < len(items):
-            items[idx] = last
-            self._pos[last] = idx
-
-    def sample(self, rng) -> PageId:
-        if not self._items:
-            raise InvariantViolation("sample from empty unrequested-page set")
-        return self._items[uniform_index(rng, len(self._items))]
-
-
 @dataclass
 class PhaseStats:
     """Per-phase instrumentation counters.
@@ -99,10 +62,11 @@ class PhaseStats:
 class GuardPolicy(Policy):
     """Wraps a base policy with phase-based eviction protection.
 
-    State per phase: `unrequested` (cached pages not yet touched this phase),
-    `guarded` (pages immune to eviction), `evicted_this_phase`, and the
-    `old_pages` cache snapshot taken when the phase began. On a miss with a
-    full cache:
+    State per phase: `unrequested` (cached pages not yet touched this phase,
+    a list whose indexes `_pos` maps, so a page leaves it in O(1) and a
+    redirect draws from it uniformly), `guarded` (pages immune to eviction),
+    `evicted_this_phase`, and the `old_pages` cache snapshot taken when the
+    phase began. On a miss with a full cache:
 
     (a) if `unrequested` is empty, a new phase starts: shields drop,
         `unrequested` refills with the whole cache, the snapshot is retaken
@@ -112,18 +76,21 @@ class GuardPolicy(Policy):
     (c) otherwise the base policy picks the victim among unguarded pages:
         the guarded set is handed to it as the context's `excluded` pages.
 
-    Structural invariants (checked on every event, violations raise): guarded
-    pages are never evicted mid-phase, the guarded set stays disjoint from
-    `unrequested`, every miss on a snapshot page in phases >= 1 takes branch
-    (b), and no new page is loaded more than twice in one phase.
+    Structural invariants (checked at each eviction, violations raise):
+    guarded pages are never evicted mid-phase, the guarded set stays disjoint
+    from `unrequested`, every miss on a snapshot page in phases >= 1 takes
+    branch (b), and no new page is loaded more than twice in one phase.
 
     Cost: nothing per hit. The guard takes no request hook of its own (it
     asks for one only when its base does, and passes it on). An eviction is
-    one Python frame besides the base's choice, with `_catch_up` and the
-    record inline: a C-level pass over the requests since the previous
-    eviction, O(1) Python work per page it removes from `unrequested` (at
-    most k per phase), and O(1) to record the eviction. A phase reset is
-    O(k). A redirect notifies the base only when the base takes notices.
+    one Python frame besides the base's choice: a C-level pass over the
+    requests since the previous eviction, O(1) Python work per page it
+    removes from `unrequested` (at most k per phase), and O(1) to record the
+    eviction. A phase reset is O(k).
+
+    The guard records only the evictions it chooses, so its base must not be
+    a guard itself: the inner guard would never learn of the outer one's
+    redirects. A guard inside a combiner's lane is fine.
 
     `_loads` counts the loads this phase of each new page (one outside the
     snapshot). A new page is cached only after a miss this phase, so its
@@ -132,6 +99,8 @@ class GuardPolicy(Policy):
     """
 
     def __init__(self, base: Policy):
+        if isinstance(base, GuardPolicy):
+            raise ValueError(f"cannot guard {base.name!r}: it is already guarded")
         self.base = base
         self.name = f"guard:{base.name}"
         self.requires = base.requires
@@ -145,13 +114,11 @@ class GuardPolicy(Policy):
         return self.base.victim_order(trace, bundle)
 
     def begin_run(self, trace, k, bundle, rng):
-        base = self.base
-        base.begin_run(trace, k, bundle, rng)
-        # a redirect's notice, for a base that overrides `on_evict`
-        self._notify = None if type(base).on_evict is Policy.on_evict else base.on_evict
+        self.base.begin_run(trace, k, bundle, rng)
         self._pages = trace.pages
         self._seen = 0  # requests accounted for
-        self.unrequested = _RandomSet()
+        self.unrequested: list[PageId] = []
+        self._pos: dict[PageId, int] = {}  # page -> its index in `unrequested`
         self.guarded: set[PageId] = set()
         self.evicted_this_phase: set[PageId] = set()
         self.old_pages: set[PageId] = set()
@@ -164,36 +131,16 @@ class GuardPolicy(Policy):
         self._loads: dict[PageId, int] = {}
         self._n = self._o = self._n_new = self._n_old = 0
 
-    def _current(self) -> tuple[int, int, int, int, int, int]:
-        return (self.phase, len(self._loads), self._n, self._o, self._n_new, self._n_old)
-
-    def _catch_up(self, t: int) -> None:
-        """Account for the requests after the last one accounted for, up to
-        and including request t. Before the first eviction (phase 0) they are
-        cold fills and hits on them, so each distinct page was loaded once.
-        After it, every miss evicts, so they are hits, and each page touched
-        for the first time this phase leaves `unrequested`, in request order,
-        as it would have on its hit. `choose_victim` does the same inline."""
-        if t > self._seen:
-            window, self._seen = self._pages[self._seen:t], t
-            if not self.phase:
-                self._loads.update(dict.fromkeys(window, 1))
-                return
-            # `discard` inlined: a call per page costs more than the pass
-            pos, items = self.unrequested._pos, self.unrequested._items
-            for page in filter(pos.__contains__, window):
-                idx = pos.pop(page)
-                last = items.pop()
-                if idx < len(items):
-                    items[idx] = last
-                    pos[last] = idx
-
     def choose_victim(self, ctx, rng):
         page, now = ctx.requested, ctx.now
-        unrequested = self.unrequested
-        items, pos = unrequested._items, unrequested._pos
+        items, pos = self.unrequested, self._pos
         seen = self._seen
-        if now - 1 > seen:  # not when the previous request evicted too
+        # Catch up with the hits since the previous eviction (none when that
+        # was the previous request): each page touched for the first time
+        # this phase leaves `unrequested` in request order, as on its hit.
+        # Before the first eviction (phase 0) they are cold fills and hits on
+        # them, so each distinct page was loaded once.
+        if now - 1 > seen:
             if items:
                 for p in filter(pos.__contains__, self._pages[seen:now - 1]):
                     idx = pos.pop(p)
@@ -207,8 +154,8 @@ class GuardPolicy(Policy):
             self._closed.append((self.phase, len(self._loads), self._n, self._o,
                                  self._n_new, self._n_old))
             self.old_pages = set(ctx.cached)
-            unrequested._items = items = list(ctx.cached)
-            unrequested._pos = pos = dict(zip(items, range(len(items))))
+            self.unrequested = items = list(ctx.cached)
+            self._pos = pos = dict(zip(items, range(len(items))))
             self.guarded.clear()
             self.evicted_this_phase.clear()
             self._loads.clear()
@@ -231,8 +178,6 @@ class GuardPolicy(Policy):
             self.guard_events += 1
             if len(guarded) > self.max_guarded:
                 self.max_guarded = len(guarded)
-            if self._notify is not None:
-                self._notify(victim, now)
         else:
             if page in old and self.phase >= 1:
                 raise InvariantViolation(
@@ -279,32 +224,14 @@ class GuardPolicy(Policy):
     def on_request(self, page, now, hit):
         self.base.on_request(page, now, hit)
 
-    def on_evict(self, page, now):
-        """A wrapper evicted `page` at request `now` in this guard's place:
-        record it and the load there as `choose_victim` records its own."""
-        self._catch_up(now - 1)
-        if page in self.guarded:
-            raise InvariantViolation(f"guarded page {page!r} evicted mid-phase")
-        self.unrequested.discard(page)
-        self.evicted_this_phase.add(page)
-        loaded = self._pages[now - 1]
-        if loaded not in self.old_pages:
-            loads = self._loads.get(loaded, 0) + 1
-            if loads > 2:
-                raise InvariantViolation(
-                    f"new page {loaded!r} loaded {loads} times in phase {self.phase}"
-                )
-            self._loads[loaded] = loads
-        self._seen = now
-        self.base.on_evict(page, now)
-
     @property
     def phase_stats(self) -> list[PhaseStats]:
         """All phases including the still-open final one. Read it once the
-        whole trace has been served: it first accounts for the requests
-        since the last eviction."""
-        self._catch_up(len(self._pages))
-        return [PhaseStats(*ph) for ph in self._closed] + [PhaseStats(*self._current())]
+        whole trace has been served: a run still in phase 0 never evicted,
+        so its c_q counts every distinct page of the trace."""
+        c_q = len(self._loads) if self.phase else len(set(self._pages))
+        current = (self.phase, c_q, self._n, self._o, self._n_new, self._n_old)
+        return [PhaseStats(*ph) for ph in self._closed + [current]]
 
 
 @dataclass

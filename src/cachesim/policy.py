@@ -3,8 +3,8 @@
 A policy sees every request through `on_request` (if it asks for the hook) and
 is consulted through `choose_victim` whenever a miss hits a full cache. A
 policy records the eviction it chooses inside `choose_victim`; the engine
-gives no separate notice. `on_evict` is only the notice a wrapper gives its
-base when it evicts a page in the base's place (the guard's redirect). One
+gives no separate notice, and no wrapper sends one in its base's place: no
+package code calls `on_evict`. One
 engine, `EvictionContext`, replays every run: `simulate` drives one over the
 whole trace, and each switching combiner drives one per sub-policy, a request
 at a time. The engine owns the cache set and per-page recency, from which a
@@ -206,8 +206,8 @@ class EvictionContext:
 
 class Policy:
     """Base eviction policy. Subclasses override `choose_victim`, record there
-    the eviction they choose, and may hook `on_request` (and `on_evict`, for a
-    wrapper's notices) for bookkeeping; one instance serves one run."""
+    the eviction they choose, and may hook `on_request` for bookkeeping; one
+    instance serves one run."""
 
     name = "policy"
     requires = PredictionKind.NONE
@@ -234,9 +234,10 @@ class Policy:
         `needs_request_hook` is set; the engine reads that flag once per run."""
 
     def on_evict(self, page: PageId, now: int) -> None:
-        """A wrapper evicted `page` at request `now` in this policy's place,
-        without calling its `choose_victim`. The engine never calls this: a
-        policy records the evictions it chooses itself in `choose_victim`."""
+        """No package code calls this: a policy records the evictions it
+        chooses in `choose_victim`. The no-op stays for the tests' eager
+        engine, which calls it after every eviction, and for the benchmark
+        tracer, which wraps it by name."""
 
 
 class LRUPolicy(Policy):
@@ -456,7 +457,8 @@ def build_policy(spec: str) -> Policy:
 
     Grammar: ``lru | marker | belady | blind_oracle | lrb | fitf |
     switch_det(a,b[,bound]) | switch_rand(a,b[,beta])``, each optionally
-    prefixed with ``guard:`` to wrap it in the guarded robustification layer.
+    prefixed with ``guard:`` to wrap it in the guarded robustification layer
+    (but not one already prefixed: a guard cannot wrap a guard directly).
     """
     spec = spec.strip()
     if spec.startswith("guard:"):

@@ -11,8 +11,10 @@ the FITF truth found by bisecting each candidate's request list. The guard
 and `marker` as they were when the engine told every policy of every eviction
 through `on_evict` and the guard took a hook on every request are kept too,
 with an engine that still makes that call, as the rules the lazy guard must
-reproduce. So is the engine that compared the heap's length with its limit
-on every request, which the countdown to the next rebuild must reproduce.
+reproduce, along with the eager guard's sampling set and the catch-up that
+lets a test read the lazy guard's state after any request. So is the engine
+that compared the heap's length with its limit on every request, which the
+countdown to the next rebuild must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
 policy), the request and occurrence helpers, the random and cyclic trace
 generators, the generator formulas of label flipping and error measurement,
@@ -37,9 +39,9 @@ from cachesim import (
     PredictionError,
     Trace,
 )
-from cachesim.guard import PhaseStats, _RandomSet
+from cachesim.guard import PhaseStats
 from cachesim.oracle import belady_labels
-from cachesim.policy import ContractViolation, EvictionContext
+from cachesim.policy import ContractViolation, EvictionContext, uniform_index
 from cachesim.predict import PredictionKind
 from cachesim.trace import PageId
 
@@ -532,6 +534,69 @@ class RecencyLRUPolicy(Policy):
 
     def choose_victim(self, ctx, rng):
         return next(p for p in self._recency if p in ctx.candidates)
+
+
+class _RandomSet:
+    """Set of page ids with O(1) add, discard, and uniform sampling: the
+    eager guard's `unrequested`, which the lazy guard keeps as a plain list
+    and index map."""
+
+    __slots__ = ("_items", "_pos")
+
+    def __init__(self, items=()):
+        self.reset(items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __contains__(self, page):
+        return page in self._pos
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def reset(self, items) -> None:
+        self._items = list(items)
+        self._pos = dict(zip(self._items, range(len(self._items))))
+
+    def discard(self, page) -> None:
+        idx = self._pos.pop(page, None)
+        if idx is None:
+            return
+        items = self._items
+        last = items.pop()
+        if idx < len(items):
+            items[idx] = last
+            self._pos[last] = idx
+
+    def sample(self, rng) -> PageId:
+        if not self._items:
+            raise InvariantViolation("sample from empty unrequested-page set")
+        return self._items[uniform_index(rng, len(self._items))]
+
+
+def catch_up(guard, t: int) -> None:
+    """Account the lazy `GuardPolicy` `guard` for the requests after the last
+    one it accounted for, up to and including request t, as its next
+    eviction would, so that an audit can read its state after any request.
+    Before the first eviction (phase 0) they are cold fills and hits on
+    them, so each distinct page was loaded once. After it, every miss
+    evicts, so they are hits, and each page touched for the first time this
+    phase leaves `unrequested`, in request order, as it would have on its
+    hit."""
+    seen = guard._seen
+    if t > seen:
+        window, guard._seen = guard._pages[seen:t], t
+        if not guard.phase:
+            guard._loads.update(dict.fromkeys(window, 1))
+            return
+        items, pos = guard.unrequested, guard._pos
+        for page in filter(pos.__contains__, window):
+            idx = pos.pop(page)
+            last = items.pop()
+            if idx < len(items):
+                items[idx] = last
+                pos[last] = idx
 
 
 class EagerGuardPolicy(Policy):

@@ -39,6 +39,7 @@ from cachesim.guard import GuardPolicy
 from cachesim.oracle import belady_simulate
 from .reference_impls import (
     brute_force_opt,
+    catch_up,
     opt_against_old_evictions,
     random_trace,
     rb_random_policy_cost,
@@ -291,12 +292,12 @@ class _AuditedGuard(GuardPolicy):
         self.audit_failures = 0
 
     def _audit(self):
-        if any(page in self.unrequested for page in self.guarded):
+        if any(page in self._pos for page in self.guarded):
             self.audit_failures += 1
 
     def on_request(self, page, now, hit):
         super().on_request(page, now, hit)
-        self._catch_up(now)
+        catch_up(self, now)
         self._audit()
 
     def choose_victim(self, ctx, rng):

@@ -24,9 +24,15 @@ from cachesim import (
     simulate,
     synthetic_nrt,
 )
-from cachesim.guard import GuardPolicy, PhaseStats, _RandomSet, harmonic
+from cachesim.guard import GuardPolicy, PhaseStats, harmonic
 from cachesim.policy import LRUPolicy
-from .reference_impls import cyclic_trace, opt_against_old_evictions, random_trace
+from .reference_impls import (
+    _RandomSet,
+    catch_up,
+    cyclic_trace,
+    opt_against_old_evictions,
+    random_trace,
+)
 
 
 def test_harmonic_values():
@@ -233,7 +239,7 @@ class _LoadsAudit(GuardPolicy):
 
     def on_request(self, page, now, hit):
         super().on_request(page, now, hit)
-        self._catch_up(now)
+        catch_up(self, now)
         if self.phase != len(self.phase_starts) - 1:  # this request opened a phase
             self.phase_starts.append(len(self.stream))
             self.c_q.append(0)

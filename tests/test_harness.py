@@ -347,6 +347,9 @@ def test_cli_error_exits(plain_trace, tmp_path, capsys):
     assert cli.main(["--policy", "lru"]) == 1  # no trace given
     assert cli.main(["--trace", str(tmp_path / "missing.txt")]) == 1
     assert cli.main(["--trace", str(plain_trace), "--policy", "bogus"]) == 1
+    capsys.readouterr()
+    assert cli.main(["--trace", str(plain_trace), "--policy", "guard:guard:lru"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"trace": str(plain_trace), "surprise": 1}))
     assert cli.main(["--config", str(bad_cfg)]) == 1

@@ -45,6 +45,7 @@ from .reference_impls import (
     EagerEvictionContext,
     EagerGuardPolicy,
     EagerMarkerPolicy,
+    catch_up,
     random_trace,
 )
 
@@ -56,7 +57,6 @@ SPECS = {
     "guard:blind_oracle": (lambda: EagerGuardPolicy(BlindOraclePolicy()), "nrt"),
     "guard:lrb": (lambda: EagerGuardPolicy(LRBFollowerPolicy()), "labels"),
     "guard:fitf": (lambda: EagerGuardPolicy(FitFFollowerPolicy()), "fitf"),
-    "guard:guard:lru": (lambda: EagerGuardPolicy(EagerGuardPolicy(LRUPolicy())), None),
     "switch_rand(guard:fitf,fitf)": (
         lambda: SwitchRandomizedPolicy(EagerGuardPolicy(FitFFollowerPolicy()),
                                        FitFFollowerPolicy()), "fitf"),
@@ -87,7 +87,8 @@ def guards(policy):
 
 
 def state(guard) -> tuple:
-    return (list(guard.unrequested._items), dict(guard._loads), guard._current(),
+    return (list(guard.unrequested), dict(guard._loads),
+            (guard.phase, guard._n, guard._o, guard._n_new, guard._n_old),
             list(guard._closed), set(guard.guarded), set(guard.evicted_this_phase),
             set(guard.old_pages), guard.guard_events, guard.max_guarded)
 
@@ -142,7 +143,7 @@ def check_lazy_against_eager(spec, trace, k, seed):
 
     def audit(t):
         for g in guards(audited):
-            g._catch_up(t)
+            catch_up(g, t)
         got_states.append([state(g) for g in guards(audited)])
 
     got = replay(audited, EvictionContext, trace, k, make_bundle(kind, trace, k, seed), seed, audit)

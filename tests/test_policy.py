@@ -22,6 +22,7 @@ from cachesim import (
     perfect_nrt,
     simulate,
 )
+from cachesim.guard import GuardPolicy
 from cachesim.policy import (
     BeladyPolicy,
     BlindOraclePolicy,
@@ -264,6 +265,8 @@ def test_build_policy_combiner_and_guard_nesting():
 
     nested = build_policy("switch_det(guard:lru,belady)")
     assert nested.name == "switch_det(guard:lru,belady,1)"
+    # a guard may hold a guard in a combiner's lane, just not directly
+    assert build_policy("guard:" + nested.name).name == "guard:switch_det(guard:lru,belady,1)"
 
 
 def test_build_policy_rejects_malformed_specs():
@@ -275,6 +278,9 @@ def test_build_policy_rejects_malformed_specs():
         "switch_det(lru,(belady)",
         "switch_rand(lru,belady,two)",
         "guard:",
+        "guard:guard:lru",
     ):
         with pytest.raises(ValueError):
             build_policy(spec)
+    with pytest.raises(ValueError, match="already guarded"):
+        GuardPolicy(GuardPolicy(LRUPolicy()))
