@@ -60,6 +60,9 @@ SPECS = {
     "switch_rand(guard:fitf,fitf)": (
         lambda: SwitchRandomizedPolicy(EagerGuardPolicy(FitFFollowerPolicy()),
                                        FitFFollowerPolicy()), "fitf"),
+    "guard:switch_det(guard:lru,belady)": (
+        lambda: EagerGuardPolicy(SwitchDeterministicPolicy(EagerGuardPolicy(LRUPolicy()),
+                                                           BeladyPolicy())), None),
     "guard:switch_det(blind_oracle,marker)": (
         lambda: EagerGuardPolicy(SwitchDeterministicPolicy(BlindOraclePolicy(),
                                                            EagerMarkerPolicy())), "nrt"),
