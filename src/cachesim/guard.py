@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .policy import Policy, RunResult, uniform_index
+from .policy import Policy, RunResult
 from .trace import PageId
 
 
@@ -150,12 +150,15 @@ class GuardPolicy(Policy):
                         pos[last] = idx
             elif not self.phase:
                 self._loads.update(dict.fromkeys(self._pages[seen:now - 1], 1))
-        if not items:  # a new phase
+        if not items:  # a new phase; `pos` is as empty as `items`
             self._closed.append((self.phase, len(self._loads), self._n, self._o,
                                  self._n_new, self._n_old))
             self.old_pages = set(ctx.cached)
-            self.unrequested = items = list(ctx.cached)
-            self._pos = pos = dict(zip(items, range(len(items))))
+            items.extend(ctx.cached)
+            i = 0
+            for p in items:
+                pos[p] = i
+                i += 1
             self.guarded.clear()
             self.evicted_this_phase.clear()
             self._loads.clear()
@@ -165,7 +168,7 @@ class GuardPolicy(Policy):
         if page in evicted:
             if not items:
                 raise InvariantViolation("sample from empty unrequested-page set")
-            victim = items[uniform_index(rng, len(items))]
+            victim = items[rng.integers(len(items))]
             if page in pos:
                 raise InvariantViolation(
                     f"page {page!r} is both missed and marked unrequested at t={now}"

@@ -17,6 +17,13 @@ its true furthest page) names those values in `victim_order`; the engine
 then keeps a heap of them, and the policy takes its victim in O(log k) from
 `furthest`, which skips excluded pages. Every other policy scans
 `candidates`.
+
+The `rng` that `begin_run` and `choose_victim` receive is the run's
+`DrawStream`, which the engine wraps once around the generator it is given
+(a stream it is given is kept, so a combiner's lanes draw from their outer
+engine's stream). Policies draw with `rng.integers(n)` and `rng.random()`,
+which return what numpy's `Generator` returns for the same calls, so a seed
+reproduces a run draw for draw.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .draws import DrawStream
 from .oracle import opt_cost
 from .predict import PredictionBundle, PredictionKind
 from .trace import PageId, Trace
@@ -36,29 +44,6 @@ from .trace import PageId, Trace
 
 class ContractViolation(RuntimeError):
     """A policy broke the engine contract (e.g. evicted a non-candidate)."""
-
-
-def uniform_index(rng: np.random.Generator, n: int) -> int:
-    """`int(rng.integers(n))`, drawn the way numpy draws it, at a fraction
-    of the call's cost.
-
-    For 2 <= n < 2**32 numpy takes one 32-bit word from the bit generator
-    and maps it to [0, n) with Lemire's multiply-and-reject method; this
-    does the same through the bit generator's `next_uint32`, so the value
-    and the generator's state afterwards are those of `rng.integers(n)`.
-    n = 1 draws nothing, as in numpy; other n go to `rng.integers`.
-    """
-    if 1 < n <= 0xFFFFFFFF:
-        c = rng.bit_generator.ctypes
-        m = c.next_uint32(c.state_address) * n
-        if m & 0xFFFFFFFF < n:
-            threshold = 0x100000000 % n
-            while m & 0xFFFFFFFF < threshold:
-                m = c.next_uint32(c.state_address) * n
-        return m >> 32
-    if n == 1:
-        return 0
-    return int(rng.integers(n))
 
 
 class EvictionContext:
@@ -94,7 +79,10 @@ class EvictionContext:
                  "_pages", "_order", "_heap", "_calls", "_pushes_left")
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
-                 bundle: PredictionBundle | None, rng: np.random.Generator):
+                 bundle: PredictionBundle | None,
+                 rng: np.random.Generator | DrawStream):
+        if not isinstance(rng, DrawStream):
+            rng = DrawStream(rng)
         policy.begin_run(trace, k, bundle, rng)
         self.policy = policy
         self.k = k
@@ -214,7 +202,7 @@ class Policy:
     needs_request_hook = False
 
     def begin_run(self, trace: Trace, k: int, bundle: PredictionBundle | None,
-                  rng: np.random.Generator) -> None:
+                  rng: DrawStream) -> None:
         """Called once before the first request of a run."""
 
     def victim_order(self, trace: Trace,
@@ -226,7 +214,10 @@ class Policy:
         fail (a `TypeError`) at the first eviction."""
         return None
 
-    def choose_victim(self, ctx: EvictionContext, rng: np.random.Generator) -> PageId:
+    def choose_victim(self, ctx: EvictionContext, rng: DrawStream) -> PageId:
+        """The cached page to evict for the request `ctx.requested`, which
+        missed at `ctx.now`, chosen outside `ctx.excluded`. `rng` is the
+        run's draw stream: draw with `rng.integers(n)` and `rng.random()`."""
         raise NotImplementedError
 
     def on_request(self, page: PageId, now: int, hit: bool) -> None:
@@ -268,7 +259,7 @@ class MarkerPolicy(Policy):
             self._cleared = ctx.now
         pool = unmarked or list(candidates)
         pool.sort()
-        return pool[uniform_index(rng, len(pool))]
+        return pool[rng.integers(len(pool))]
 
 
 class _FurthestValuePolicy(Policy):
@@ -311,7 +302,7 @@ class LRBFollowerPolicy(Policy):
         labels, last_used, candidates = ctx.predictions.labels, ctx.last_used, ctx.candidates
         pool = [p for p in candidates if labels[last_used[p] - 1]] or list(candidates)
         pool.sort()
-        return pool[uniform_index(rng, len(pool))]
+        return pool[rng.integers(len(pool))]
 
 
 class FitFFollowerPolicy(Policy):
@@ -421,7 +412,7 @@ class SwitchRandomizedPolicy(_CombinerBase):
 
     def _select_active(self, rng):
         w0, w1 = self.weights
-        self.active = 0 if float(rng.random()) < w0 / (w0 + w1) else 1
+        self.active = 0 if rng.random() < w0 / (w0 + w1) else 1
 
 
 POLICY_FACTORIES: dict[str, type[Policy]] = {

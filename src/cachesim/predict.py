@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .draws import DrawStream
 from .oracle import belady_labels, belady_simulate
 from .trace import PageId, Trace
 
@@ -75,21 +76,28 @@ def perfect_nrt(trace: Trace) -> PredictionBundle:
     return PredictionBundle(PredictionKind.NRT, nrt=list(trace.next_occurrence))
 
 
+# The largest synthetic prediction: 2**53, below which every integer is an
+# exact float, so a huge draw of the noise cannot overflow the int64 cast.
+NRT_CAP = 2**53
+
+
 def synthetic_nrt(trace: Trace, sigma: float, seed: int = 0) -> PredictionBundle:
     """True next request times with log-normally scaled forward gaps.
 
     Each prediction is t + (T - t) * X with X ~ LogNormal(0, sigma) drawn
-    i.i.d. per request, rounded to an integer and floored at t + 1. sigma=0
-    reproduces the truth exactly.
+    i.i.d. per request, rounded to an integer, floored at t + 1 and capped at
+    `NRT_CAP` (which only a large sigma reaches). sigma=0 reproduces the
+    truth exactly.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
     n = len(trace)
     rng = np.random.default_rng(seed)
-    noise = rng.lognormal(0.0, sigma, size=n)
+    # capped before the product too, which would overflow to inf with a warning
+    noise = np.minimum(rng.lognormal(0.0, sigma, size=n), NRT_CAP)
     t = np.arange(1, n + 1, dtype=float)
     T = np.asarray(trace.next_occurrence, dtype=float)
-    pred = np.maximum(np.rint(t + (T - t) * noise), t + 1).astype(int)
+    pred = np.clip(np.rint(t + (T - t) * noise), t + 1, NRT_CAP).astype(np.int64)
     return PredictionBundle(PredictionKind.NRT, nrt=pred.tolist())
 
 
@@ -175,34 +183,30 @@ def noisy_fitf(trace: Trace, k: int, epsilon: float, seed: int = 0) -> Predictio
 
     The function is queried with the replay engine's context at each
     eviction of a `fitf` run, and takes the true furthest candidate from
-    `ctx.furthest()` (ties: least recently used first). Each query consumes
-    one RNG draw: with probability 1 - epsilon the true furthest page is
+    `ctx.furthest()` (ties: least recently used first). Each query takes one
+    `random()` from the bundle's own draw stream over `default_rng(seed)`:
+    with probability 1 - epsilon the true furthest page is
     returned, otherwise a uniformly random other candidate (the sole
     candidate when there is no alternative). Wrong answers are tallied on the
     bundle.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    # the bundle's own stream: it holds its generator, and no other caller draws from it
+    random = DrawStream(np.random.default_rng(seed)).random
     bundle = PredictionBundle(PredictionKind.FITF)
-    # `float(rng.random())` without the call: the same value and state after.
-    # `rng` is a default so that the Generator owning `state` outlives `choice`
-    bits = rng.bit_generator.ctypes
-    next_double, state = bits.next_double, bits.state_address
 
-    def choice(ctx: EvictionContext, _rng=rng) -> PageId:
-        truth = answer = ctx.furthest()
-        u = next_double(state)
+    def choice(ctx: EvictionContext) -> PageId:
+        truth = ctx.furthest()
+        u = random()
+        bundle.fitf_queries += 1
         if u < epsilon:
             others = sorted(ctx.candidates)
             others.remove(truth)
-            if others:
-                idx = min(int(u / epsilon * len(others)), len(others) - 1)
-                answer = others[idx]
-        bundle.fitf_queries += 1
-        if answer != truth:
-            bundle.fitf_wrong += 1
-        return answer
+            if others:  # any other candidate is a wrong answer
+                bundle.fitf_wrong += 1
+                return others[min(int(u / epsilon * len(others)), len(others) - 1)]
+        return truth
 
     bundle.fitf_choice = choice
     return bundle

@@ -41,7 +41,7 @@ from cachesim import (
 )
 from cachesim.guard import PhaseStats
 from cachesim.oracle import belady_labels
-from cachesim.policy import ContractViolation, EvictionContext, uniform_index
+from cachesim.policy import ContractViolation, EvictionContext
 from cachesim.predict import PredictionKind
 from cachesim.trace import PageId
 
@@ -572,7 +572,7 @@ class _RandomSet:
     def sample(self, rng) -> PageId:
         if not self._items:
             raise InvariantViolation("sample from empty unrequested-page set")
-        return self._items[uniform_index(rng, len(self._items))]
+        return self._items[rng.integers(len(self._items))]
 
 
 def catch_up(guard, t: int) -> None:

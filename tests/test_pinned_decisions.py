@@ -107,10 +107,10 @@ def test_results_match_pinned_values(spec, pinned):
 
 @pytest.mark.parametrize("spec", ["fitf", "guard:fitf", "switch_rand(fitf,marker)"])
 def test_fitf_bundle_keeps_its_generator_alive(spec, pinned):
-    # a FITF choice draws through the address of its Generator's state; once
-    # the caller holds no reference to the Generator, collect what can be
-    # collected and build other Generators, which would take the memory of
-    # one that died, before the replay
+    """A FITF bundle draws from its own stream, which holds the bit
+    generator it reads. Nothing else refers to that generator once the bundle
+    is built, so collect what can be collected and build other Generators
+    before the replay: the bundle's answers must not change."""
     decoys = []
 
     def collected_bundle(kind, trace, k, seed):

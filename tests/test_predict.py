@@ -25,7 +25,7 @@ from cachesim import (
 )
 from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext, FitFFollowerPolicy
-from cachesim.predict import PredictionKind, binary_from_nrt, load_bundle_csv
+from cachesim.predict import NRT_CAP, PredictionKind, binary_from_nrt, load_bundle_csv
 from .reference_impls import (
     fitf_page,
     generator_flip_labels,
@@ -67,6 +67,17 @@ def test_synthetic_noise_stays_in_the_future():
         preds = synthetic_nrt(tr, sigma, seed=1).nrt
         assert all(p >= t + 1 for t, p in enumerate(preds, 1))
         assert all(isinstance(p, int) for p in preds)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [20.0, 1000.0])
+def test_synthetic_noise_with_a_huge_sigma_is_capped_not_wrapped(sigma):
+    # such a sigma draws noise that overflows float64, and half of it rounds to 0
+    tr = random_trace(np.random.default_rng(9), 200, 7)
+    preds = synthetic_nrt(tr, sigma, seed=1).nrt
+    assert all(t + 1 <= p <= NRT_CAP for t, p in enumerate(preds, 1))
+    assert NRT_CAP in preds
+    assert all(isinstance(p, int) for p in preds)
 
 
 def test_synthetic_is_seed_deterministic():
