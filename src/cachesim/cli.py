@@ -67,7 +67,7 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
     config_path = flags.pop("config", None)
     data: dict = {}
     if config_path:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
         if type(data) is not dict:
             raise ValueError(f"config file {config_path} must hold a JSON object")

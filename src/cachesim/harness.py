@@ -93,7 +93,7 @@ class ExperimentConfig:
 def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
     """Read the configured source into labelled sub-traces."""
     k = config.resolved_k()  # also rejects an unknown format
-    text = Path(config.trace).read_text()
+    text = Path(config.trace).read_text(encoding="utf-8-sig")
     fmt = config.format
     if fmt == "plain":
         return [("trace", parse_plain_trace(text))]

@@ -291,7 +291,7 @@ def save_bundle_csv(bundle: PredictionBundle, path: str | Path) -> None:
 def load_bundle_csv(path: str | Path) -> PredictionBundle:
     """Read a bundle written by `save_bundle_csv`; the header names the kind.
     A value may be written as a float (`7.0`) but must be whole."""
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8-sig"))))
     if not rows:
         raise ValueError("empty bundle file")
     header = [h.strip().lower() for h in rows[0]]

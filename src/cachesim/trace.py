@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from itertools import count, filterfalse
+from operator import itemgetter, methodcaller
 from typing import Iterable
 
 PageId = int
@@ -19,13 +21,38 @@ PageId = int
 def _next_occurrence(pages: list[PageId]) -> list[int]:
     """Next-occurrence index for every request, sentinel n+1, in one backward pass."""
     n = len(pages)
-    nxt = [0] * n
+    backward: list[int] = []
+    append = backward.append
     last_seen: dict[PageId, int] = {}
-    for i in range(n - 1, -1, -1):
-        p = pages[i]
-        nxt[i] = last_seen.get(p, n + 1)
-        last_seen[p] = i + 1
-    return nxt
+    get = last_seen.get
+    sentinel = n + 1
+    for i, p in zip(range(n, 0, -1), reversed(pages)):
+        append(get(p, sentinel))
+        last_seen[p] = i
+    return backward[::-1]  # a copy of exactly n slots; appending over-allocates
+
+
+def _whole_ints(values: list) -> list[int]:
+    """`int` of every value, refusing one that `int` would truncate or cannot read.
+
+    A string is read exactly or not at all, so it needs no comparison.
+    """
+    out = []
+    for v in values:
+        try:
+            p = int(v)
+        except (ValueError, OverflowError):
+            p = None
+        if p is None or (p != v and not isinstance(v, (str, bytes))):
+            raise ValueError(f"page id {v!r} is not a whole number")
+        out.append(p)
+    return out
+
+
+def _intern(tokens: list[str]) -> list[PageId]:
+    """Consecutive PageIds in order of first appearance."""
+    ids = dict(zip(dict.fromkeys(tokens), count()))
+    return list(map(ids.__getitem__, tokens))
 
 
 class Trace:
@@ -34,7 +61,15 @@ class Trace:
     __slots__ = ("pages", "next_occurrence", "universe_size", "_digest", "_labels")
 
     def __init__(self, pages: Iterable[PageId]):
-        pages = [int(p) for p in pages]
+        given = pages if type(pages) is list else list(pages)
+        try:
+            pages = list(map(int, given))
+            # ints, bools, numpy integers and 2.0 equal what `int` made of them
+            exact = pages == given
+        except (ValueError, OverflowError):
+            exact = False
+        if not exact:
+            pages = _whole_ints(given)
         if not pages:
             raise ValueError("empty trace")
         if min(pages) < 0:
@@ -53,9 +88,8 @@ class Trace:
     def digest(self) -> str:
         """SHA-256 of the page sequence, for content-addressed caching."""
         if self._digest is None:
-            h = hashlib.sha256()
-            h.update(b"\n".join(str(p).encode() for p in self.pages))
-            self._digest = h.hexdigest()
+            text = "\n".join(map(str, self.pages))
+            self._digest = hashlib.sha256(text.encode()).hexdigest()
         return self._digest
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -67,16 +101,14 @@ def parse_plain_trace(text: str) -> Trace:
 
     Tokens are interned to consecutive PageIds in order of first appearance.
     """
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens.append(line)
+    tokens = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        tokens = list(filterfalse(methodcaller("startswith", "#"), tokens))
     if not tokens:
         raise ValueError("empty trace")
-    interned: dict[str, int] = {}
-    return Trace([interned.setdefault(tok, len(interned)) for tok in tokens])
+    pages = _intern(tokens)
+    del tokens  # the token strings go before the trace is built: a lower peak
+    return Trace(pages)
 
 
 def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Trace]]:
@@ -89,31 +121,55 @@ def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Tra
     """
     by_user: dict[str, list[tuple[str, str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
+        cols = raw.split("\t")
+        if len(cols) == 5:
+            user, ts, _lat, _lon, loc = cols
+            user, loc = user.strip(), loc.strip()
+            if user and loc:
+                by_user.setdefault(user, []).append((ts.strip(), loc))
+                continue
         if not raw.strip():
             continue
-        cols = raw.split("\t")
         if len(cols) != 5:
             raise ValueError(
                 f"line {lineno}: expected 5 tab-separated fields, got {len(cols)}"
             )
-        user, ts, _lat, _lon, loc = cols
-        user, ts, loc = user.strip(), ts.strip(), loc.strip()
         if not loc:
             raise ValueError(f"line {lineno}: missing location id")
-        if not user:
-            raise ValueError(f"line {lineno}: missing user id")
-        by_user.setdefault(user, []).append((ts, loc))
+        raise ValueError(f"line {lineno}: missing user id")
     if not by_user:
         raise ValueError("empty trace")
     out: list[tuple[str, Trace]] = []
+    by_time, location = itemgetter(0), itemgetter(1)
     for user, rows in by_user.items():
-        rows.sort(key=lambda r: r[0])  # timestamps are ISO-like; lexicographic == chronological
-        locs = [loc for _, loc in rows]
+        rows.sort(key=by_time)  # timestamps are ISO-like; lexicographic == chronological
+        locs = list(map(location, rows))
         if len(set(locs)) < 2 * cache_size:
             continue
-        interned: dict[str, int] = {}
-        out.append((user, Trace([interned.setdefault(l, len(interned)) for l in locs])))
+        out.append((user, Trace(_intern(locs))))
     return out
+
+
+def _station_ids(rows: list[list[str]], width: int, col: int) -> list[float]:
+    """The station id of every ride row, row by row: blank rows are skipped and
+    the first bad row is named."""
+    ids: list[float] = []
+    for rownum, row in enumerate(rows, 2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ValueError(f"row {rownum}: expected {width} fields, got {len(row)}")
+        val = row[col].strip()
+        if not val:
+            raise ValueError(f"row {rownum}: missing station id")
+        try:
+            page = float(val)
+            if not page.is_integer():  # a fraction, or not finite
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
+        ids.append(page)
+    return ids
 
 
 def ingest_citibike(text: str) -> Trace:
@@ -128,25 +184,20 @@ def ingest_citibike(text: str) -> Trace:
         col = names.index("start station id")
     except ValueError:
         raise ValueError("column 'start station id' not found in header") from None
-    pages: list[int] = []
-    for rownum, row in enumerate(reader, 2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        val = row[col].strip()
-        if not val:
-            raise ValueError(f"row {rownum}: missing station id")
-        try:
-            page = float(val)
-            if not page.is_integer():  # a fraction, or not finite
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
-        pages.append(int(page))
-    if not pages:
+    rows = list(reader)
+    # one C-level pass over a file with no blank, short or long row and only
+    # whole ids (`float` skips the same whitespace as `str.strip`); any other
+    # file goes row by row
+    try:
+        ids = list(map(float, map(itemgetter(col), rows)))
+        whole = all(map(float.is_integer, ids)) and set(map(len, rows)) <= {len(header)}
+    except (ValueError, IndexError):
+        whole = False
+    if not whole:
+        ids = _station_ids(rows, len(header), col)
+    if not ids:
         raise ValueError("empty trace")
-    return Trace(pages)
+    return Trace(ids)  # whole floats convert exactly
 
 
 _ADDR_LINE_BYTES = 64

@@ -15,6 +15,8 @@ reproduce, along with the eager guard's sampling set and the catch-up that
 lets a test read the lazy guard's state after any request. So is the engine
 that compared the heap's length with its limit on every request, which the
 countdown to the next rebuild must reproduce.
+The trace readers, the next-occurrence pass and the digest as per-line and
+per-request loops are the rules the package's C-level passes must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
 policy), the request and occurrence helpers, the random and cyclic trace
 generators, the generator formulas of label flipping and error measurement,
@@ -24,6 +26,9 @@ live here too, because only the tests use them.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,6 +102,105 @@ def quadratic_next_occurrence(pages: list[int]) -> list[int]:
         else:
             out.append(n + 1)
     return out
+
+
+def loop_next_occurrence(pages: list[int]) -> list[int]:
+    """The package's backward pass as one loop over indices, before it became
+    a reversed `zip` that appends and then reverses."""
+    n = len(pages)
+    nxt = [0] * n
+    last_seen: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        p = pages[i]
+        nxt[i] = last_seen.get(p, n + 1)
+        last_seen[p] = i + 1
+    return nxt
+
+
+def loop_digest(pages: list[int]) -> str:
+    """`Trace.digest` as hashed before: each page's decimal bytes, newline-joined."""
+    h = hashlib.sha256()
+    h.update(b"\n".join(str(p).encode() for p in pages))
+    return h.hexdigest()
+
+
+def loop_parse_plain_trace(text: str) -> list[int]:
+    """The plain-format reader line by line: the pages it interns, or the
+    ValueError it raises."""
+    tokens = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens.append(line)
+    if not tokens:
+        raise ValueError("empty trace")
+    interned: dict[str, int] = {}
+    return [interned.setdefault(tok, len(interned)) for tok in tokens]
+
+
+def loop_ingest_brightkite(text: str, cache_size: int) -> list[tuple[str, list[int]]]:
+    """The check-in reader line by line: (user, pages) per kept user, or the
+    ValueError it raises."""
+    by_user: dict[str, list[tuple[str, str]]] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        cols = raw.split("\t")
+        if len(cols) != 5:
+            raise ValueError(
+                f"line {lineno}: expected 5 tab-separated fields, got {len(cols)}"
+            )
+        user, ts, _lat, _lon, loc = cols
+        user, ts, loc = user.strip(), ts.strip(), loc.strip()
+        if not loc:
+            raise ValueError(f"line {lineno}: missing location id")
+        if not user:
+            raise ValueError(f"line {lineno}: missing user id")
+        by_user.setdefault(user, []).append((ts, loc))
+    if not by_user:
+        raise ValueError("empty trace")
+    out = []
+    for user, rows in by_user.items():
+        rows.sort(key=lambda r: r[0])
+        locs = [loc for _, loc in rows]
+        if len(set(locs)) < 2 * cache_size:
+            continue
+        interned: dict[str, int] = {}
+        out.append((user, [interned.setdefault(l, len(interned)) for l in locs]))
+    return out
+
+
+def loop_ingest_citibike(text: str) -> list[int]:
+    """The ride reader row by row: the station ids, or the ValueError it raises."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty trace")
+    names = [h.strip().lower() for h in header]
+    try:
+        col = names.index("start station id")
+    except ValueError:
+        raise ValueError("column 'start station id' not found in header") from None
+    pages: list[int] = []
+    for rownum, row in enumerate(reader, 2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+        val = row[col].strip()
+        if not val:
+            raise ValueError(f"row {rownum}: missing station id")
+        try:
+            page = float(val)
+            if not page.is_integer():
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
+        pages.append(int(page))
+    if not pages:
+        raise ValueError("empty trace")
+    return pages
 
 
 def lru_misses(pages: list[int], k: int) -> int:

@@ -14,6 +14,7 @@ from cachesim import (
     Policy,
     ingest_address_trace,
     ingest_brightkite,
+    ingest_citibike,
     opt_cost,
     perfect_nrt,
     run,
@@ -132,6 +133,47 @@ def test_address_rows_sum_over_sets():
     expected = sum(simulate(LRUPolicy(), tr, 16).misses for tr in sets.values())
     table = run(ExperimentConfig(trace=DATA / "addr_sample.txt", format="addr"))
     assert table.rows[0]["misses"] == expected
+
+
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as some editors save files
+FORMATS = {"plain": None, "addr": "addr_sample.txt",
+           "brightkite": "brightkite_sample.tsv", "citi": "citibike_sample.csv"}
+
+
+def _loaded(path, fmt):
+    return [(label, tr.pages) for label, tr in
+            harness.load_traces(ExperimentConfig(trace=path, format=fmt))]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_load_traces_skips_a_byte_order_mark(fmt, plain_trace, tmp_path):
+    # before, the mark became part of the first token: `a b a b` read as
+    # pages [0, 1, 2, 1], an address or check-in file failed or gained a user
+    src = DATA / FORMATS[fmt] if FORMATS[fmt] else plain_trace
+    marked = tmp_path / f"bom-{src.name}"
+    marked.write_bytes(BOM + src.read_bytes())
+    assert _loaded(marked, fmt) == _loaded(src, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_load_traces_without_a_byte_order_mark_reads_as_before(fmt, plain_trace):
+    src = DATA / FORMATS[fmt] if FORMATS[fmt] else plain_trace
+    text, k = src.read_text(encoding="utf-8"), harness.DEFAULT_K[fmt]
+    if fmt == "plain":
+        expected = [("trace", parse_plain_trace(text))]
+    elif fmt == "addr":
+        expected = [(f"set:{s}", tr) for s, tr in ingest_address_trace(text, k).items()]
+    elif fmt == "brightkite":
+        expected = [(f"user:{u}", tr) for u, tr in ingest_brightkite(text, cache_size=k)]
+    else:
+        expected = [("citi", ingest_citibike(text))]
+    assert _loaded(src, fmt) == [(label, tr.pages) for label, tr in expected]
+
+
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(BOM + "a\n\ufeffa\na\n".encode())
+    assert _loaded(path, "plain") == [("trace", [0, 1, 0])]
 
 
 def test_phase_companion_file(plain_trace, tmp_path):
@@ -341,6 +383,14 @@ def test_cli_config_file_with_flag_overrides(plain_trace, tmp_path, capsys):
     }))
     assert cli.main(["--config", str(cfg), "--policy", "marker"]) == 0
     assert "policy=marker" in capsys.readouterr().out
+
+
+def test_cli_config_file_may_start_with_a_byte_order_mark(plain_trace, tmp_path, capsys):
+    # before, json rejected it: "Unexpected UTF-8 BOM"
+    cfg = tmp_path / "exp.json"
+    cfg.write_bytes(BOM + json.dumps({"trace": str(plain_trace), "k": 2}).encode())
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert "policy=lru" in capsys.readouterr().out
 
 
 def test_cli_error_exits(plain_trace, tmp_path, capsys):

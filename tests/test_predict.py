@@ -280,6 +280,13 @@ def test_bundle_csv_reads_whole_values_written_as_floats(tmp_path):
     assert load_bundle_csv(path).nrt == [2, 4, 5]
 
 
+def test_bundle_csv_may_start_with_a_byte_order_mark(tmp_path):
+    # before, the header read as ['\ufeffindex', 'predicted_nrt'] and was refused
+    path = tmp_path / "preds.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + b"index,predicted_nrt\n1,2\n2,4\n")
+    assert load_bundle_csv(path).nrt == [2, 4]
+
+
 def test_bundle_payload_validation():
     with pytest.raises(ValueError):
         PredictionBundle(kind=PredictionKind.NRT)

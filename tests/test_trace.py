@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     Trace,
@@ -18,6 +21,11 @@ from cachesim import (
 from .reference_impls import (
     cyclic_trace,
     last_occurrence_at_or_before,
+    loop_digest,
+    loop_ingest_brightkite,
+    loop_ingest_citibike,
+    loop_next_occurrence,
+    loop_parse_plain_trace,
     next_occurrence_after,
     occurrences,
     quadratic_next_occurrence,
@@ -60,6 +68,54 @@ def test_trace_rejects_bad_input():
         Trace([1, -2])
 
 
+@pytest.mark.parametrize("value", [1.5, 2.7, -0.5, float("inf"), float("nan"), np.float64(0.5)])
+def test_trace_rejects_page_ids_that_are_not_whole_numbers(value):
+    # before, 1.5 and 2.7 were truncated, -0.5 became page 0 and inf overflowed
+    with pytest.raises(ValueError, match=rf"page id {re.escape(repr(value))} is not a whole"):
+        Trace([3, value])
+
+
+@pytest.mark.parametrize("pages", [
+    [0, 2, 1], [False, 2.0, True], [np.int64(0), np.uint8(2), 1], ["0", "2", " 1 "],
+    np.array([0, 2, 1]), (0, 2, 1), iter([0, 2, 1]),
+])
+def test_trace_reads_what_converts_exactly(pages):
+    tr = Trace(pages)
+    assert tr.pages == [0, 2, 1] and all(type(p) is int for p in tr.pages)
+
+
+def test_trace_keeps_the_integer_error_messages():
+    with pytest.raises(ValueError, match="^empty trace$"):
+        Trace(iter([]))
+    with pytest.raises(ValueError, match="^page ids must be non-negative integers$"):
+        Trace([1, -2.0])
+    with pytest.raises(ValueError, match="page id 'x' is not a whole number"):
+        Trace(["1", "x"])
+
+
+def test_trace_copies_its_input():
+    given_pages = [0, 1, 0]
+    tr = Trace(given_pages)
+    given_pages.append(5)
+    assert tr.pages == [0, 1, 0]
+
+
+def test_digest_bytes_are_pinned():
+    # the optimum cache's `v1:` keys are these digests
+    assert Trace([0, 1, 2, 0, 3]).digest == (
+        "ba6fdbb88131df4922ee557868876a751f96b9ac3b240d6e6bb82da201edadcf")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=80))
+def test_trace_matches_the_loops(pages):
+    tr = Trace(pages)
+    assert tr.pages == pages
+    assert tr.next_occurrence == loop_next_occurrence(pages)
+    assert tr.universe_size == len(set(pages))
+    assert tr.digest == loop_digest(pages)
+
+
 def test_occurrence_queries():
     tr = Trace([0, 1, 2, 1, 0])
     assert next_occurrence_after(tr, 1, 2) == 4
@@ -81,6 +137,70 @@ def test_parse_plain_trace_interns_and_skips_comments():
     assert tr.pages == [0, 1, 0, 1]
     with pytest.raises(ValueError):
         parse_plain_trace("# only comments\n")
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a reader gives: its result, or the text of its ValueError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# pieces of plain-format text: tokens (with `#` and non-ASCII characters
+# inside), comments, whitespace-only runs and every kind of line break that
+# `str.splitlines` knows
+PLAIN_PIECES = ["a", "b", "ab", "7", "0x40", "x#y", "é", "漢字", "#", "# c", "#a",
+                " ", "\t", "\x0c", "\u3000", "\n", "\r\n", "\r", "\v", "\x1c",
+                "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(PLAIN_PIECES), max_size=60).map("".join))
+def test_plain_reader_matches_the_line_loop(text):
+    expected = _outcome(loop_parse_plain_trace, text)
+    got = _outcome(parse_plain_trace, text)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert got.pages == expected
+    assert got.next_occurrence == loop_next_occurrence(expected)
+    assert got.universe_size == len(set(expected))
+    assert got.digest == loop_digest(expected)
+
+
+# check-in fields: padded users and locations, timestamps that tie once
+# stripped (so that file order must break the tie), and a few lines that are
+# blank, short of a user or a location, or of the wrong width
+checkin_line = st.tuples(
+    st.sampled_from(["u1", "u2", " u1", "u2 "]),
+    st.sampled_from(["2010-01", "2010-02", " 2010-01", "2010-01 ", ""]),
+    st.just("0.0"), st.just("0.0"),
+    st.sampled_from(["l1", "l2", "l3", "l4", " l1", "l2 "]),
+).map("\t".join)
+odd_line = st.one_of(
+    st.sampled_from(["", " ", "\t\t\t\t", " \t \t\t\t ", "\tt\t0\t0\tl1", "u1\tt\t0\t0\t ",
+                     " \tt\t0\t0\t", "u1\tt\t0\t0"]),
+    st.lists(st.sampled_from(["u1", "l1", "2010-01", " "]), max_size=7).map("\t".join),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(checkin_line, max_size=30),
+       st.lists(st.tuples(st.integers(0, 30), odd_line), max_size=2),
+       st.sampled_from(["\n", "\r\n", "\r", "\u2028"]), st.integers(0, 2))
+def test_brightkite_reader_matches_the_line_loop(lines, odd, newline, cache_size):
+    for at, line in odd:
+        lines.insert(at, line)
+    text = newline.join(lines)
+    expected = _outcome(loop_ingest_brightkite, text, cache_size)
+    got = _outcome(ingest_brightkite, text, cache_size=cache_size)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert [(user, tr.pages) for user, tr in got] == expected
+    for _user, tr in got:
+        assert tr.next_occurrence == loop_next_occurrence(tr.pages)
 
 
 def test_brightkite_threshold_and_order():
@@ -148,6 +268,26 @@ def test_citibike_rejects_fractional_station_ids(station):
 def test_citibike_reads_whole_station_ids_written_as_floats():
     tr = ingest_citibike("tripduration,start station id\n60,205.0\n61,205\n62,1e2\n")
     assert tr.pages == [205, 205, 100]
+
+
+# ride cells: whole ids written as ints or floats, padded, fractional, not
+# finite or missing, and rows that are blank or of the wrong width
+station = st.sampled_from(["12", "205.0", " 7 ", "1e2", "1_0", "12.5", "inf", "nan", "x", "", " "])
+ride_row = st.one_of(
+    st.tuples(st.sampled_from(["60", ""]), station).map(",".join),
+    st.sampled_from(["", " ", ",", " , ", "60", "60,12,9", '"60","12"']),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(ride_row, max_size=12), st.booleans(), st.sampled_from(["\n", "\r\n"]))
+def test_citibike_reader_matches_the_row_loop(rows, mostly_whole, newline):
+    if mostly_whole:  # the common file, which the C-level pass reads
+        rows = [f"{i},{i % 7}.0" for i in range(len(rows))] + rows[:1]
+    text = newline.join(["tripduration,start station id"] + rows)
+    expected = _outcome(loop_ingest_citibike, text)
+    got = _outcome(ingest_citibike, text)
+    assert (got if isinstance(expected, str) else got.pages) == expected
 
 
 def test_set_associative_geometry():
