@@ -150,28 +150,6 @@ def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Tra
     return out
 
 
-def _station_ids(rows: list[list[str]], width: int, col: int) -> list[float]:
-    """The station id of every ride row, row by row: blank rows are skipped and
-    the first bad row is named."""
-    ids: list[float] = []
-    for rownum, row in enumerate(rows, 2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != width:
-            raise ValueError(f"row {rownum}: expected {width} fields, got {len(row)}")
-        val = row[col].strip()
-        if not val:
-            raise ValueError(f"row {rownum}: missing station id")
-        try:
-            page = float(val)
-            if not page.is_integer():  # a fraction, or not finite
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
-        ids.append(page)
-    return ids
-
-
 def ingest_citibike(text: str) -> Trace:
     """Read a bike-share ride CSV; each ride's start station id becomes one
     request. An id may be written as a float (`205.0`) but must be whole."""
@@ -184,20 +162,25 @@ def ingest_citibike(text: str) -> Trace:
         col = names.index("start station id")
     except ValueError:
         raise ValueError("column 'start station id' not found in header") from None
-    rows = list(reader)
-    # one C-level pass over a file with no blank, short or long row and only
-    # whole ids (`float` skips the same whitespace as `str.strip`); any other
-    # file goes row by row
-    try:
-        ids = list(map(float, map(itemgetter(col), rows)))
-        whole = all(map(float.is_integer, ids)) and set(map(len, rows)) <= {len(header)}
-    except (ValueError, IndexError):
-        whole = False
-    if not whole:
-        ids = _station_ids(rows, len(header), col)
-    if not ids:
+    pages: list[int] = []
+    for rownum, row in enumerate(reader, 2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+        val = row[col].strip()
+        if not val:
+            raise ValueError(f"row {rownum}: missing station id")
+        try:
+            page = float(val)
+            if not page.is_integer():  # a fraction, or not finite
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
+        pages.append(int(page))
+    if not pages:
         raise ValueError("empty trace")
-    return Trace(ids)  # whole floats convert exactly
+    return Trace(pages)
 
 
 _ADDR_LINE_BYTES = 64

@@ -15,8 +15,9 @@ reproduce, along with the eager guard's sampling set and the catch-up that
 lets a test read the lazy guard's state after any request. So is the engine
 that compared the heap's length with its limit on every request, which the
 countdown to the next rebuild must reproduce.
-The trace readers, the next-occurrence pass and the digest as per-line and
-per-request loops are the rules the package's C-level passes must reproduce.
+The plain and check-in readers, the next-occurrence pass and the digest as
+per-line and per-request loops are the rules the package's C-level passes
+must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
 policy), the request and occurrence helpers, the random and cyclic trace
 generators, the generator formulas of label flipping and error measurement,
@@ -26,9 +27,7 @@ live here too, because only the tests use them.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -169,38 +168,6 @@ def loop_ingest_brightkite(text: str, cache_size: int) -> list[tuple[str, list[i
         interned: dict[str, int] = {}
         out.append((user, [interned.setdefault(l, len(interned)) for l in locs]))
     return out
-
-
-def loop_ingest_citibike(text: str) -> list[int]:
-    """The ride reader row by row: the station ids, or the ValueError it raises."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty trace")
-    names = [h.strip().lower() for h in header]
-    try:
-        col = names.index("start station id")
-    except ValueError:
-        raise ValueError("column 'start station id' not found in header") from None
-    pages: list[int] = []
-    for rownum, row in enumerate(reader, 2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        val = row[col].strip()
-        if not val:
-            raise ValueError(f"row {rownum}: missing station id")
-        try:
-            page = float(val)
-            if not page.is_integer():
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"row {rownum}: station id {val!r} is not a whole number") from None
-        pages.append(int(page))
-    if not pages:
-        raise ValueError("empty trace")
-    return pages
 
 
 def lru_misses(pages: list[int], k: int) -> int:

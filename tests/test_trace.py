@@ -23,7 +23,6 @@ from .reference_impls import (
     last_occurrence_at_or_before,
     loop_digest,
     loop_ingest_brightkite,
-    loop_ingest_citibike,
     loop_next_occurrence,
     loop_parse_plain_trace,
     next_occurrence_after,
@@ -268,26 +267,6 @@ def test_citibike_rejects_fractional_station_ids(station):
 def test_citibike_reads_whole_station_ids_written_as_floats():
     tr = ingest_citibike("tripduration,start station id\n60,205.0\n61,205\n62,1e2\n")
     assert tr.pages == [205, 205, 100]
-
-
-# ride cells: whole ids written as ints or floats, padded, fractional, not
-# finite or missing, and rows that are blank or of the wrong width
-station = st.sampled_from(["12", "205.0", " 7 ", "1e2", "1_0", "12.5", "inf", "nan", "x", "", " "])
-ride_row = st.one_of(
-    st.tuples(st.sampled_from(["60", ""]), station).map(",".join),
-    st.sampled_from(["", " ", ",", " , ", "60", "60,12,9", '"60","12"']),
-)
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.lists(ride_row, max_size=12), st.booleans(), st.sampled_from(["\n", "\r\n"]))
-def test_citibike_reader_matches_the_row_loop(rows, mostly_whole, newline):
-    if mostly_whole:  # the common file, which the C-level pass reads
-        rows = [f"{i},{i % 7}.0" for i in range(len(rows))] + rows[:1]
-    text = newline.join(["tripduration,start station id"] + rows)
-    expected = _outcome(loop_ingest_citibike, text)
-    got = _outcome(ingest_citibike, text)
-    assert (got if isinstance(expected, str) else got.pages) == expected
 
 
 def test_set_associative_geometry():
