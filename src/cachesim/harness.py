@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from .guard import InvariantViolation, phase_report, phase_stats_csv
-from .oracle import opt_cost
+from .oracle import check_k, opt_cost
 from .policy import build_policy, simulate
 from .predict import (
     PredictionBundle,
@@ -78,8 +78,7 @@ class ExperimentConfig:
                 f"unknown trace format {self.format!r}; expected one of {sorted(DEFAULT_K)}"
             )
         k = self.k if self.k is not None else DEFAULT_K[self.format]
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_k(k)
         return k
 
     def validate(self) -> None:

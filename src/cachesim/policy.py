@@ -13,10 +13,11 @@ and it is itself the context that `choose_victim` receives. A policy may
 evict any cached page outside the context's `excluded` set; the guard passes
 its shielded pages there. A policy that evicts the page with the largest
 value attached at its last request (`blind_oracle`, `belady`, and `fitf` for
-its true furthest page) names those values in `victim_order`; the engine
-then keeps a heap of them, and the policy takes its victim in O(log k) from
-`furthest`, which skips excluded pages. Every other policy scans
-`candidates`.
+its true furthest page) names those values in `victim_order` and takes its
+victim from `furthest`, which skips excluded pages. Above `SCAN_K` slots the
+engine keeps a heap of those values and `furthest` pops it in O(log k); up
+to `SCAN_K` it keeps none, and `furthest` scans the candidates once, in
+O(k). Every other policy scans `candidates`.
 
 The `rng` that `begin_run` and `choose_victim` receive is the run's
 `DrawStream`, which the engine wraps once around the generator it is given
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .draws import DrawStream
-from .oracle import opt_cost
+from .oracle import SCAN_K, check_k, opt_cost
 from .predict import PredictionBundle, PredictionKind
 from .trace import PageId, Trace
 
@@ -59,18 +60,21 @@ class EvictionContext:
     wrapper may set `excluded` for a delegated call and restores it before
     returning.
 
-    When the policy names a `victim_order`, the engine pushes one integer
-    key, `i - value * (n + 2)`, for every request i onto a min-heap once the
-    cache and `last_used` are updated. Since 1 <= i <= n, keys order exactly
-    like `(-value, i)`, and `key % (n + 2)` gives back i and with it the page.
-    An entry is live while its page is cached and was last requested at its
-    index; others are dropped when they reach the top. The heap's top live
-    entry is the page with the largest value, the least recently used among
-    equal values (indices are unique, so live keys never tie). It is rebuilt
-    from the cache when it grows past 4k entries, so it holds O(k) entries.
-    Only pushes grow it, one per request, so the engine counts down the
-    pushes left before it can outgrow that limit and checks its length only
-    then: it rebuilds at the same requests as a check on every request would.
+    When the policy names a `victim_order`, each request i has one integer
+    key, `i - value * (n + 2)`. Since 1 <= i <= n, keys order exactly like
+    `(-value, i)`, and `key % (n + 2)` gives back i and with it the page. The
+    page `furthest` returns is the candidate whose last request has the
+    smallest key: the largest value, the least recently used among equal
+    values (indices are unique, so live keys never tie). At k <= `SCAN_K` the
+    engine keeps no heap, and `furthest` computes the candidates' keys in one
+    scan. Above it, the engine pushes every request's key onto a min-heap
+    once the cache and `last_used` are updated. An entry is live while its
+    page is cached and was last requested at its index; others are dropped
+    when they reach the top. The heap is rebuilt from the cache when it grows
+    past 4k entries, so it holds O(k) entries. Only pushes grow it, one per
+    request, so the engine counts down the pushes left before it can outgrow
+    that limit and checks its length only then: it rebuilds at the same
+    requests as a check on every request would.
     """
 
     __slots__ = ("now", "requested", "cached", "excluded", "predictions",
@@ -103,7 +107,8 @@ class EvictionContext:
         self._calls = (policy.on_request if policy.needs_request_hook else None,
                        policy.choose_victim)
         self._order = policy.victim_order(trace, bundle)
-        self._heap: list[int] | None = None if self._order is None else []
+        self._heap: list[int] | None = (
+            None if self._order is None or k <= SCAN_K else [])
         self._pushes_left = 4 * k + 1
 
     @property
@@ -168,25 +173,38 @@ class EvictionContext:
         """The cached page outside `excluded` with the largest value in the
         policy's `victim_order`, least recently used first among equals.
 
-        Pops dead entries for good; live excluded ones are pushed back.
+        At k <= `SCAN_K` it scans the candidates' keys. Above it, it pops
+        dead heap entries for good and pushes live excluded ones back.
         """
         heap, cache, last_used, excluded = self._heap, self.cached, self.last_used, self.excluded
         pages = self._pages
         m = len(pages) + 2
-        held = []
-        try:
-            while heap:
-                key = heap[0]
-                i = key % m
-                p = pages[i - 1]
-                if last_used[p] == i and p in cache:
-                    if p not in excluded:
-                        return p
-                    held.append(key)
-                heappop(heap)
-        finally:
-            for key in held:
-                heappush(heap, key)
+        if heap is None:
+            order = self._order
+            best = None  # no sentinel: values may be any integers
+            for p in cache:
+                if p not in excluded:
+                    t = last_used[p]
+                    key = t - order[t - 1] * m
+                    if best is None or key < best:
+                        best = key
+            if best is not None:
+                return pages[best % m - 1]
+        else:
+            held = []
+            try:
+                while heap:
+                    key = heap[0]
+                    i = key % m
+                    p = pages[i - 1]
+                    if last_used[p] == i and p in cache:
+                        if p not in excluded:
+                            return p
+                        held.append(key)
+                    heappop(heap)
+            finally:
+                for key in held:
+                    heappush(heap, key)
         raise ContractViolation(
             f"{self.policy.name} found no evictable page at t={self.now}"
         )
@@ -208,10 +226,11 @@ class Policy:
     def victim_order(self, trace: Trace,
                      bundle: PredictionBundle | None) -> Sequence[int] | None:
         """Per-request integer values for a policy that evicts the page with
-        the largest value attached at its last request, so that the engine
-        keeps them in a heap for `EvictionContext.furthest`; None for a policy
-        that scans its candidates. A float value makes the heap's key decode
-        fail (a `TypeError`) at the first eviction."""
+        the largest value attached at its last request, through
+        `EvictionContext.furthest`: above `SCAN_K` slots the engine keeps
+        them in a heap, and up to it `furthest` scans the candidates' values.
+        None for a policy that scans its candidates itself. A float value
+        makes the key decode fail (a `TypeError`) at the first eviction."""
         return None
 
     def choose_victim(self, ctx: EvictionContext, rng: DrawStream) -> PageId:
@@ -307,8 +326,9 @@ class LRBFollowerPolicy(Policy):
 
 class FitFFollowerPolicy(Policy):
     """Delegates each eviction to a furthest-in-the-future choice function,
-    which takes the true furthest page from the engine's heap of next
-    request times (`EvictionContext.furthest`)."""
+    which takes the true furthest page from `EvictionContext.furthest` over
+    next request times: a heap pop above `SCAN_K` slots, one scan of the
+    candidates up to it."""
 
     name = "fitf"
     requires = PredictionKind.FITF
@@ -527,8 +547,7 @@ def simulate(
     request. `opt_misses` short-circuits the offline-optimum computation;
     with `compute_opt=False` the result carries no ratio.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     _check_bundle(policy, bundle, len(trace))
     engine = EvictionContext(policy, trace, k, bundle, np.random.default_rng(seed))
     start = time.perf_counter()

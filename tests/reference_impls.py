@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: quadratic scans and direct
 simulations that can be checked by eye, so the package's optimized versions
 have something independent to agree with. The `max`-based victim choices of
 `belady`, `blind_oracle` and the offline optimum, which the package replaced
-with heaps, are kept here as the rules those heaps must reproduce (the
+with heaps (and, up to `SCAN_K` slots, a scan of the heaps' keys), are kept
+here as the rules those must reproduce (the
 optimum's with the eviction events and cache states that only the tests
 read), and so is
 the FITF truth found by bisecting each candidate's request list. The guard

@@ -7,6 +7,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cachesim import (
@@ -357,6 +358,14 @@ def test_config_validation(plain_trace, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(trace=plain_trace, pred="made_up").validate()
     assert ExperimentConfig(trace=plain_trace, format="citi").resolved_k() == 100
+
+
+def test_resolved_k_rejects_a_fraction():
+    # a cache of 2.5 slots never filled: `len(cache) == k` never held
+    with pytest.raises(ValueError, match="k must be a whole number, got 2.5"):
+        ExperimentConfig(trace="x", k=2.5).resolved_k()
+    assert ExperimentConfig(trace="x", k=2.0).resolved_k() == 2
+    assert ExperimentConfig(trace="x", k=np.int64(3)).resolved_k() == 3
 
 
 # --- command line ------------------------------------------------------------

@@ -60,6 +60,16 @@ def test_belady_rejects_bad_k():
         belady_simulate(Trace([0, 1]), 0)
 
 
+def test_optimum_rejects_a_fraction_of_a_slot():
+    # a cache of 2.5 slots never filled, so only the cold misses counted
+    tr = Trace([0, 1, 2, 0, 1, 2, 3, 0, 1])
+    for call in (belady_simulate, opt_cost, belady_labels):
+        for k in (2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                call(tr, k)
+    assert opt_cost(tr, 2.0) == opt_cost(tr, np.int64(2)) == opt_cost(tr, 2) == 6
+
+
 def test_belady_matches_naive_reference():
     rng = np.random.default_rng(11)
     for _ in range(120):

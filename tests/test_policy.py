@@ -32,6 +32,7 @@ from cachesim.policy import (
     SwitchDeterministicPolicy,
     SwitchRandomizedPolicy,
 )
+from cachesim.oracle import SCAN_K
 from cachesim.predict import PredictionKind
 from .reference_impls import lru_misses, random_trace
 
@@ -148,20 +149,30 @@ def test_engine_validates_bundle_kind_and_length():
 def test_prediction_attaches_at_most_recent_request():
     # k=1: the single cached page is always evicted, but the blind follower
     # must read the prediction written at the page's latest request, not its
-    # first. An entry keyed by a stale request leaves the heap with no live
-    # page, which raises ContractViolation instead.
+    # first. At k = 1 the engine scans the cached page's key, read at its
+    # last request.
     tr = Trace([0, 1, 0, 1])
     res = simulate(BlindOraclePolicy(), tr, 1, perfect_nrt(tr))
     assert res.misses == 4
 
 
 def test_float_nrt_stream_raises_instead_of_choosing_a_victim():
-    # heap keys are decoded back to request indices, which only integer
-    # values allow
-    tr = Trace([0, 1, 2, 0])
-    bundle = PredictionBundle(PredictionKind.NRT, nrt=[4.0, 5.0, 5.0, 5.0])
-    with pytest.raises(TypeError):
-        simulate(BlindOraclePolicy(), tr, 2, bundle)
+    # keys are decoded back to request indices, which only integer values
+    # allow: by the scan at k = 2, by the heap above SCAN_K
+    for k in (2, SCAN_K + 1):
+        tr = Trace(list(range(k + 1)) + [0])
+        bundle = PredictionBundle(PredictionKind.NRT, nrt=[float(k + 2)] * (k + 2))
+        with pytest.raises(TypeError):
+            simulate(BlindOraclePolicy(), tr, k, bundle)
+
+
+def test_simulate_rejects_a_fraction_of_a_slot():
+    # a cache of 2.5 slots never filled, so only the cold misses counted
+    tr = Trace([0, 1, 2, 0, 1, 2, 3, 0, 1])
+    with pytest.raises(ValueError, match="k must be a whole number, got 2.5"):
+        simulate(build_policy("lru"), tr, 2.5, compute_opt=False)
+    assert [simulate(build_policy("lru"), tr, k).misses
+            for k in (2, 2.0, np.int64(2))] == [9, 9, 9]
 
 
 def test_run_result_ratio_handles_missing_opt():

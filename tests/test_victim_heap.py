@@ -1,7 +1,8 @@
-"""The heap-ordered victim choice against the scans it replaced.
+"""The value-ordered victim choice against the scans it replaced.
 
 `blind_oracle`, `belady`, `fitf` (for its truth) and `belady_simulate` pick
-their victims from a lazy-deletion heap, `lrb` reads the label attached at
+their victims from a lazy-deletion heap above `SCAN_K` slots and by one scan
+of the cache's heap keys up to it, `lrb` reads the label attached at
 each page's last request through `last_used`, `lru` takes the least recent
 page from the engine's `last_used`, and `marker` reads its marks from
 `last_used` and the request index of its last clear. On random traces with perfect, inverted and noisy predictions,
@@ -14,7 +15,7 @@ reference's. FITF answers at every noise level must equal
 those of the bisect reference, truth for truth. The engine's countdown to
 the heap's next rebuild must rebuild at the same requests as the engine that
 compares the heap's length with its limit on every request, bare, under
-`guard:` and in combiner lanes.
+`guard:` and in combiner lanes; up to `SCAN_K` no engine keeps a heap.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from cachesim import (
     perfect_nrt,
     synthetic_nrt,
 )
-from cachesim.oracle import belady_simulate
+from cachesim.oracle import SCAN_K, belady_simulate
 from cachesim.policy import BlindOraclePolicy, EvictionContext
+from cachesim.predict import PredictionBundle, PredictionKind
 from .reference_impls import (
     DictLRBPolicy,
     EagerEvictionContext,
@@ -114,7 +116,7 @@ def check_against_reference(trace, k, regime, seed):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 3000),
-    k=st.sampled_from((1, 2, 3, 17, 100)),
+    k=st.sampled_from((1, 2, 3, SCAN_K, SCAN_K + 1, 17, 100)),
     spread=st.integers(0, 100),
     regime=st.sampled_from(sorted(REGIMES)),
 )
@@ -129,24 +131,46 @@ def test_heap_victims_match_max_reference(seed, n, k, spread, regime):
 @pytest.mark.parametrize("regime", ("inverted", "sigma1"))
 def test_long_runs_rebuild_the_heap_and_shield_pages(k, regime):
     # the property above draws short traces too; these runs are long enough
-    # that each heap is rebuilt and the guard shields pages mid-phase
+    # that each heap is rebuilt (above SCAN_K; no heap is kept up to it) and
+    # the guard shields pages mid-phase
     trace = random_trace(np.random.default_rng(k), 3000, k + 1 + k // 2)
     rebuilds, shielded = check_against_reference(trace, k, regime, 7)
-    assert rebuilds > 0
+    assert (rebuilds > 0) == (k > SCAN_K)
     assert shielded > 0
 
 
 def test_no_evictable_page_is_a_contract_violation():
-    trace = Trace([0, 1, 2, 0, 3])
-    policy = BlindOraclePolicy()
-    engine = EvictionContext(policy, trace, 3, perfect_nrt(trace), np.random.default_rng(0))
-    engine.advance(4)
-    engine.excluded = set(engine.cached)
-    with pytest.raises(ContractViolation):
-        policy.choose_victim(engine, engine.rng)
-    # the shielded entries went back on the heap
-    engine.excluded = {1}
-    assert engine.furthest() == 2
+    # scanned at k = 3, popped from the heap above SCAN_K
+    for k in (3, SCAN_K + 3):
+        trace = Trace(list(range(k)) + [0, k])
+        policy = BlindOraclePolicy()
+        engine = EvictionContext(policy, trace, k, perfect_nrt(trace), np.random.default_rng(0))
+        engine.advance(k + 1)
+        engine.excluded = set(engine.cached)
+        with pytest.raises(ContractViolation, match="found no evictable page at t=0"):
+            policy.choose_victim(engine, engine.rng)
+        # none of these pages returns, so the least recently used unshielded
+        # page is the victim; above SCAN_K the shielded entries went back on
+        # the heap
+        engine.excluded = {1}
+        assert engine.furthest() == 2
+
+
+@pytest.mark.parametrize("k", (2, SCAN_K, SCAN_K + 1, 12))
+def test_negative_predictions_order_like_the_max_reference(k):
+    # `load_bundle_csv` accepts negative whole numbers; the scan must order
+    # them like the heap and the `max` rule, with no sentinel key to beat
+    trace = random_trace(np.random.default_rng(k), 1500, 2 * k + 1)
+    for nrt in ([-v for v in trace.next_occurrence],
+                [v - 3 * len(trace) for v in trace.next_occurrence],
+                [-1] * len(trace)):
+        bundle = PredictionBundle(PredictionKind.NRT, nrt=nrt)
+        for spec, reference in (("blind_oracle", MaxBlindOraclePolicy),
+                                ("guard:blind_oracle",
+                                 lambda: EagerGuardPolicy(MaxBlindOraclePolicy()))):
+            got, _ = eviction_log(build_policy(spec), trace, k, bundle, 5)
+            want, _ = eviction_log(reference(), trace, k, bundle, 5, EagerEvictionContext)
+            assert got == want and got
 
 
 @contextmanager
@@ -206,16 +230,20 @@ def heap_engines(engine):
         yield from heap_engines(lane)
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 10, 100))
+def countdown_bundle(spec, trace, k, seed):
+    kind = build_policy(spec).requires.value
+    if kind == "nrt":
+        return synthetic_nrt(trace, 1.0, seed=seed)
+    return noisy_fitf(trace, k, 0.5, seed=seed) if kind == "fitf" else None
+
+
+@pytest.mark.parametrize("k", (SCAN_K + 1, SCAN_K + 3, 10, 100))
 @pytest.mark.parametrize("spec", COUNTDOWN_SPECS)
 def test_rebuild_countdown_matches_length_check(spec, k):
     trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
 
     def bundle(seed):
-        kind = build_policy(spec).requires.value
-        if kind == "nrt":
-            return synthetic_nrt(trace, 1.0, seed=seed)
-        return noisy_fitf(trace, k, 0.5, seed=seed) if kind == "fitf" else None
+        return countdown_bundle(spec, trace, k, seed)
 
     for seed in (0, 1):
         with mock.patch.object(cachesim.policy, "EvictionContext", LengthCheckEvictionContext):
@@ -233,3 +261,15 @@ def test_rebuild_countdown_matches_length_check(spec, k):
                                 np.random.default_rng(seed))
         whole.advance(len(trace))
         assert (whole.misses, whole.rebuilds) == (engine.misses, engine.rebuilds)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, SCAN_K))
+@pytest.mark.parametrize("spec", COUNTDOWN_SPECS)
+def test_small_caches_keep_no_heap(spec, k):
+    # up to SCAN_K every engine, lanes included, finds its victims by a scan
+    trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
+    got, engine = eviction_log(build_policy(spec), trace, k,
+                               countdown_bundle(spec, trace, k, 0), 0)
+    engines = list(heap_engines(engine))
+    assert got
+    assert [(e._heap, e.rebuilds) for e in engines] == [(None, 0)] * len(engines)
