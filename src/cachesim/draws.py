@@ -12,6 +12,7 @@ again, since the stream has already read ahead of it.
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -29,20 +30,28 @@ class DrawStream:
     word to [0, n) with Lemire's multiply-and-reject method. n = 1 draws
     nothing. Bounds above 2**32, which numpy draws from 64-bit outputs, are
     refused; no cache holds that many pages.
+
+    Given a seed instead of a generator, the stream draws from
+    `default_rng(seed)`. Either way nothing is made or read before the first
+    draw, so a stream that never draws costs no generator state (nor, from a
+    seed, the import of `numpy.random`); the block length is the one `BLOCK`
+    held when the stream was made.
     """
 
-    __slots__ = ("_words", "_half")
+    __slots__ = ("_source", "_block", "_words", "_half")
 
-    def __init__(self, generator: np.random.Generator):
-        bits = generator.bit_generator
-        if not isinstance(bits, np.random.PCG64):
-            raise TypeError(f"a draw stream needs a PCG64 bit generator, "
-                            f"got {type(bits).__name__}")
-        state = bits.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
-        block = BLOCK
-        self._words = chain.from_iterable(
-            iter(lambda: bits.random_raw(block).tolist(), None))
+    def __init__(self, generator: np.random.Generator | int):
+        if isinstance(generator, Integral):
+            if generator < 0:
+                raise ValueError(f"a seed must be non-negative, got {generator}")
+            source = generator
+        else:
+            source = generator.bit_generator
+            if not isinstance(source, np.random.PCG64):
+                raise TypeError(f"a draw stream needs a PCG64 bit generator, "
+                                f"got {type(source).__name__}")
+        self._source, self._block = source, BLOCK
+        self.__class__ = _UnreadStream
 
     def random(self) -> float:
         return (next(self._words) >> 11) * 2.0**-53
@@ -68,3 +77,32 @@ class DrawStream:
         if n <= 0:
             raise ValueError("high <= 0")
         raise ValueError(f"bound {n} is above 2**32, which a draw stream does not serve")
+
+
+class _UnreadStream(DrawStream):
+    """A `DrawStream` before its first draw. That draw reads the generator's
+    state and makes the stream a plain `DrawStream`, whose own methods serve
+    every later draw at no extra cost (a method bound before the first draw
+    still works, one check slower)."""
+
+    __slots__ = ()
+
+    def _start(self) -> None:
+        if type(self) is not _UnreadStream:  # started through another bound method
+            return
+        bits, block = self._source, self._block
+        if isinstance(bits, Integral):
+            bits = np.random.default_rng(bits).bit_generator
+        state = bits.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words = chain.from_iterable(
+            iter(lambda: bits.random_raw(block).tolist(), None))
+        self.__class__ = DrawStream
+
+    def random(self) -> float:
+        _UnreadStream._start(self)
+        return DrawStream.random(self)
+
+    def integers(self, n: int) -> int:
+        _UnreadStream._start(self)
+        return DrawStream.integers(self, n)

@@ -22,7 +22,9 @@ O(k). Every other policy scans `candidates`.
 The `rng` that `begin_run` and `choose_victim` receive is the run's
 `DrawStream`, which the engine wraps once around the generator it is given
 (a stream it is given is kept, so a combiner's lanes draw from their outer
-engine's stream). Policies draw with `rng.integers(n)` and `rng.random()`,
+engine's stream). `simulate` gives it a stream over `default_rng(seed)`,
+which makes that generator at the run's first draw, so a run that never
+draws makes none. Policies draw with `rng.integers(n)` and `rng.random()`,
 which return what numpy's `Generator` returns for the same calls, so a seed
 reproduces a run draw for draw.
 """
@@ -33,6 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -132,7 +135,10 @@ class EvictionContext:
         evict_t, evict_victim = self.last_evict_t, self.last_evict_victim
         left = self._pushes_left
         i = self.served
-        for p in self._pages[i:until]:
+        # slices, not an islice from the first request: a combiner lane
+        # advances one request per call
+        values = order[i:until] if heap is not None else repeat(0)
+        for p, value in zip(self._pages[i:until], values):
             i += 1
             if p in cache:
                 last_used[p] = i
@@ -155,7 +161,7 @@ class EvictionContext:
                 if hook is not None:
                     hook(p, i, False)
             if heap is not None:
-                heappush(heap, i - order[i - 1] * m)
+                heappush(heap, i - value * m)
                 left -= 1
                 if not left:
                     if len(heap) > limit:
@@ -549,7 +555,7 @@ def simulate(
     """
     check_k(k)
     _check_bundle(policy, bundle, len(trace))
-    engine = EvictionContext(policy, trace, k, bundle, np.random.default_rng(seed))
+    engine = EvictionContext(policy, trace, k, bundle, DrawStream(seed))
     start = time.perf_counter()
     engine.advance(len(trace))
     wall_ms = (time.perf_counter() - start) * 1e3

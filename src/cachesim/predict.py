@@ -4,7 +4,9 @@ A bundle carries one prediction stream for a whole trace. Three kinds exist:
 per-request next-request-time estimates (NRT), per-request binary eviction
 labels, and a furthest-in-the-future choice function (FITF) that a `fitf`
 replay queries at each eviction. Bundles are built deterministically from
-(trace, parameters, seed).
+(trace, parameters, seed). `perfect_nrt` returns its values as an int64
+`array('q')` and `perfect_labels` as a `bytearray`; the other builders return
+lists of ints.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import ne, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -39,13 +42,16 @@ class PredictionKind(Enum):
 class PredictionBundle:
     """One prediction stream; exactly the payload matching ``kind`` is set.
 
-    FITF bundles count their queries and how many answers differed from the
-    true furthest-in-the-future page; use one bundle instance per run.
+    `nrt` and `labels` hold one int per request: a list, an int64
+    `array('q')` (`perfect_nrt`) or a `bytearray` of labels
+    (`perfect_labels`). FITF bundles count their queries and how many answers
+    differed from the true furthest-in-the-future page; use one bundle
+    instance per run.
     """
 
     kind: PredictionKind
-    nrt: list[int] | None = None
-    labels: list[int] | None = None
+    nrt: Sequence[int] | None = None
+    labels: Sequence[int] | None = None
     fitf_choice: Callable[[EvictionContext], PageId] | None = None
     fitf_queries: int = 0
     fitf_wrong: int = 0
@@ -72,8 +78,9 @@ class PredictionError:
 
 
 def perfect_nrt(trace: Trace) -> PredictionBundle:
-    """Exact next request times (sentinel n+1 when a page never returns)."""
-    return PredictionBundle(PredictionKind.NRT, nrt=list(trace.next_occurrence))
+    """Exact next request times (sentinel n+1 when a page never returns), a
+    copy of the trace's int64 `next_occurrence`."""
+    return PredictionBundle(PredictionKind.NRT, nrt=array("q", trace.next_occurrence))
 
 
 # The largest synthetic prediction: 2**53, below which every integer is an
@@ -193,12 +200,12 @@ def noisy_fitf(trace: Trace, k: int, epsilon: float, seed: int = 0) -> Predictio
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     # the bundle's own stream: it holds its generator, and no other caller draws from it
-    random = DrawStream(np.random.default_rng(seed)).random
+    stream = DrawStream(np.random.default_rng(seed))
     bundle = PredictionBundle(PredictionKind.FITF)
 
     def choice(ctx: EvictionContext) -> PageId:
         truth = ctx.furthest()
-        u = random()
+        u = stream.random()
         bundle.fitf_queries += 1
         if u < epsilon:
             others = sorted(ctx.candidates)
@@ -249,13 +256,25 @@ def binary_from_nrt(
     return PredictionBundle(PredictionKind.BINARY, labels=labels)
 
 
+def _l1_distance(pred: Sequence[int], truth: Sequence[int]) -> float:
+    """`float(sum(|pred - truth|))`, exactly. Integer values are subtracted
+    and summed in int64 by numpy when no sum of |differences| can pass 2**63;
+    anything else is summed in Python ints."""
+    a, b = np.asarray(pred), np.asarray(truth)
+    if a.dtype.kind == "i" and b.dtype.kind == "i":
+        largest = max(-int(a.min()), int(a.max())) + max(-int(b.min()), int(b.max()))
+        if largest * len(a) < 2**63:
+            return float(np.abs(np.subtract(a, b, dtype=np.int64)).sum())
+    return float(sum(map(abs, map(sub, pred, truth))))
+
+
 def measure_error(bundle: PredictionBundle, trace: Trace, k: int | None = None) -> PredictionError:
     """Errors of a bundle against the truth; binary labels need ``k``."""
     if bundle.kind is PredictionKind.NRT:
         truth = trace.next_occurrence
         if len(bundle.nrt) != len(truth):
             raise ValueError("bundle length does not match trace")
-        return PredictionError(eta_t=float(sum(map(abs, map(sub, bundle.nrt, truth)))))
+        return PredictionError(eta_t=_l1_distance(bundle.nrt, truth))
     if bundle.kind is PredictionKind.BINARY:
         if k is None:
             raise ValueError("measuring label error requires k")

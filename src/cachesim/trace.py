@@ -3,7 +3,9 @@
 A trace is an ordered sequence of page requests; request indices are 1-based
 throughout the package. ``next_occurrence[i-1]`` holds the index of the next
 request for the same page strictly after request ``i``, with the sentinel
-``n + 1`` when the page is never requested again.
+``n + 1`` when the page is never requested again. The pages are a list of
+ints and the next occurrences an int64 `array('q')`: 8 bytes a request, where
+a list holds a separate int object for every value above 256.
 """
 
 from __future__ import annotations
@@ -11,25 +13,51 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from array import array
 from itertools import count, filterfalse
 from operator import itemgetter, methodcaller
 from typing import Iterable
 
+import numpy as np
+
 PageId = int
 
 
-def _next_occurrence(pages: list[PageId]) -> list[int]:
-    """Next-occurrence index for every request, sentinel n+1, in one backward pass."""
-    n = len(pages)
-    backward: list[int] = []
-    append = backward.append
-    last_seen: dict[PageId, int] = {}
-    get = last_seen.get
-    sentinel = n + 1
-    for i, p in zip(range(n, 0, -1), reversed(pages)):
-        append(get(p, sentinel))
-        last_seen[p] = i
-    return backward[::-1]  # a copy of exactly n slots; appending over-allocates
+def _page_ids(pages: list[PageId]) -> np.ndarray:
+    """The page ids as an array that compares like them: uint16 when every
+    id fits, else int64, else (an id past int64) numbered in order of first
+    appearance. Raises ValueError on a negative id."""
+    try:
+        ids = np.array(pages, dtype=np.int64)
+    except OverflowError:
+        ids = None
+    if (min(pages) if ids is None else ids.min()) < 0:
+        raise ValueError("page ids must be non-negative integers")
+    if ids is None:
+        return np.array(_intern(pages), dtype=np.int64)
+    return ids.astype(np.uint16) if ids.max() < 1 << 16 else ids
+
+
+def _next_occurrence(ids: np.ndarray) -> tuple[array, int]:
+    """Next-occurrence index of every request (sentinel n+1) and the number of
+    distinct pages, from the `_page_ids` of a trace.
+
+    A stable sort groups each page's requests in request order, so a request's
+    successor in the sorted order is its page's next request when both hold
+    the same page. numpy sorts 16-bit ids with a radix sort.
+    """
+    n = len(ids)
+    order = np.argsort(ids, kind="stable")
+    # sorted positions whose page differs from the next one's: each page's
+    # last request (the sorted ids never decrease, so no difference wraps)
+    ends = np.flatnonzero(np.diff(ids[order]))
+    out = array("q", [0]) * n
+    nxt = np.frombuffer(out, dtype=np.int64)
+    nxt[order[:-1]] = order[1:]
+    nxt += 1  # 1-based
+    nxt[order[ends]] = n + 1
+    nxt[order[-1]] = n + 1
+    return out, len(ends) + 1
 
 
 def _whole_ints(values: list) -> list[int]:
@@ -56,7 +84,12 @@ def _intern(tokens: list[str]) -> list[PageId]:
 
 
 class Trace:
-    """Immutable page-request sequence with precomputed next-occurrence times."""
+    """Immutable page-request sequence with precomputed next-occurrence times.
+
+    `pages` is a list of int page ids, `next_occurrence` an `array('q')` of
+    request indices (sentinel n+1), and `universe_size` the number of
+    distinct pages.
+    """
 
     __slots__ = ("pages", "next_occurrence", "universe_size", "_digest", "_labels")
 
@@ -72,14 +105,13 @@ class Trace:
             pages = _whole_ints(given)
         if not pages:
             raise ValueError("empty trace")
-        if min(pages) < 0:
-            raise ValueError("page ids must be non-negative integers")
+        nxt, universe = _next_occurrence(_page_ids(pages))
         self.pages: list[PageId] = pages
-        self.next_occurrence: list[int] = _next_occurrence(pages)
-        self.universe_size: int = len(set(pages))
+        self.next_occurrence: array = nxt
+        self.universe_size: int = universe
         self._digest: str | None = None
         # the optimum's eviction labels per cache size, kept by `oracle.belady_labels`
-        self._labels: dict[int, tuple[int, ...]] = {}
+        self._labels: dict[int, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.pages)
@@ -96,18 +128,38 @@ class Trace:
         return f"Trace(n={len(self.pages)}, universe={self.universe_size})"
 
 
+# Characters of text the plain reader splits into lines at a time.
+PLAIN_BLOCK = 1 << 14
+# The characters `str.splitlines` ends a line at (CRLF is CR, then LF).
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def parse_plain_trace(text: str) -> Trace:
     """Parse the plain format: one token per line; blank lines and ``#`` comments skipped.
 
     Tokens are interned to consecutive PageIds in order of first appearance.
+    The text is split into lines `PLAIN_BLOCK` characters at a time, so no
+    list holds every line. A block cut inside a line carries that line on to
+    the next block; one cut between the CR and LF of a CRLF leaves the next
+    block a blank first line, which is skipped.
     """
-    tokens = list(filter(None, map(str.strip, text.splitlines())))
-    if "#" in text:
-        tokens = list(filterfalse(methodcaller("startswith", "#"), tokens))
-    if not tokens:
+    ids: dict[str, PageId] = {}
+    pages: list[PageId] = []
+    carry = ""
+    for start in range(0, len(text), PLAIN_BLOCK):
+        end = start + PLAIN_BLOCK
+        block = carry + text[start:end]
+        lines = block.splitlines()
+        carry = lines.pop() if end < len(text) and text[end - 1] not in _LINE_BREAKS else ""
+        tokens = list(filter(None, map(str.strip, lines)))
+        if "#" in block:
+            tokens = list(filterfalse(methodcaller("startswith", "#"), tokens))
+        new = filterfalse(ids.__contains__, dict.fromkeys(tokens))
+        ids.update(zip(new, count(len(ids))))
+        pages.extend(map(ids.__getitem__, tokens))
+    if not pages:
         raise ValueError("empty trace")
-    pages = _intern(tokens)
-    del tokens  # the token strings go before the trace is built: a lower peak
+    del ids  # the token strings go before the trace is built: a lower peak
     return Trace(pages)
 
 

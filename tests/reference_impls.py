@@ -15,7 +15,9 @@ with an engine that still makes that call, as the rules the lazy guard must
 reproduce, along with the eager guard's sampling set and the catch-up that
 lets a test read the lazy guard's state after any request. So is the engine
 that compared the heap's length with its limit on every request, which the
-countdown to the next rebuild must reproduce.
+countdown to the next rebuild must reproduce. A guard that counts its own
+work (phase resets and the pages each reset and catch-up moves) checks the
+paper's "O(1) extra per request" by counts instead of timings.
 The plain and check-in readers, the next-occurrence pass and the digest as
 per-line and per-request loops are the rules the package's C-level passes
 must reproduce.
@@ -44,7 +46,7 @@ from cachesim import (
     PredictionError,
     Trace,
 )
-from cachesim.guard import PhaseStats
+from cachesim.guard import GuardPolicy, PhaseStats
 from cachesim.oracle import belady_labels
 from cachesim.policy import ContractViolation, EvictionContext
 from cachesim.predict import PredictionKind
@@ -803,3 +805,34 @@ def opt_against_old_evictions(phases: list[PhaseStats],
         return None, None
     n_old_sum = sum(ph.n_q_old for ph in phases)
     return opt <= n_old_sum, n_old_sum <= opt
+
+
+class CountingGuardPolicy(GuardPolicy):
+    """`GuardPolicy` that counts its work per run, leaving its decisions
+    alone: the request index of every phase reset (`resets`), the pages the
+    resets put into `unrequested` (`reset_pages`) and the pages the catch-up
+    passes take out of it (`caught_up`). Each eviction's counts are read
+    from the guard's state before and after it, and that state must agree:
+    the catch-up removes exactly the unrequested pages hit since the
+    previous eviction, and a reset refills the set with the whole cache."""
+
+    def begin_run(self, trace, k, bundle, rng):
+        super().begin_run(trace, k, bundle, rng)
+        self.resets: list[int] = []
+        self.reset_pages = 0
+        self.caught_up = 0
+
+    def choose_victim(self, ctx, rng):
+        before = set(self.unrequested)
+        hit = before.intersection(self._pages[self._seen:ctx.now - 1])
+        phase = self.phase
+        victim = super().choose_victim(ctx, rng)
+        self.caught_up += len(hit)
+        if self.phase != phase:
+            assert hit == before, "a phase reset while pages were unrequested"
+            assert set(self.unrequested) == ctx.cached - {victim}
+            self.resets.append(ctx.now)
+            self.reset_pages += len(ctx.cached)
+        else:
+            assert set(self.unrequested) == before - hit - {victim}
+        return victim

@@ -12,6 +12,10 @@ often, after the wrapped generator has already drawn some 32-bit words.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cachesim
 from cachesim import build_policy
 from cachesim import draws
 from cachesim.draws import DrawStream
@@ -76,6 +81,30 @@ def test_stream_picks_up_a_buffered_half_word():
         assert ours.integers(10) == numpy.integers(10)
     assert ours.bit_generator.state["has_uint32"] == 1
     replay(DrawStream(ours), numpy, [None, 6, None, 6, 6])
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**64 - 1), ops=st.lists(OPS, max_size=200))
+def test_stream_from_a_seed_replays_default_rng(seed, ops):
+    replay(DrawStream(seed), np.random.default_rng(seed), ops)
+
+
+def test_stream_from_a_seed_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        DrawStream(-1)
+
+
+def test_runs_that_never_draw_import_no_numpy_random():
+    # `simulate` makes its generator at the first draw, and the package and
+    # these runs touch nothing else of `numpy.random`
+    code = ("import sys, cachesim, cachesim.cli as _\n"
+            "tr = cachesim.Trace([0, 1, 2, 0, 3, 1, 2, 4] * 50)\n"
+            "for spec in ('lru', 'belady', 'blind_oracle', 'guard:blind_oracle'):\n"
+            "    cachesim.simulate(cachesim.build_policy(spec), tr, 3, cachesim.perfect_nrt(tr))\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cachesim.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 @pytest.mark.parametrize("n", [0, -3])

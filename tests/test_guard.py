@@ -27,6 +27,7 @@ from cachesim import (
 from cachesim.guard import GuardPolicy, PhaseStats, harmonic
 from cachesim.policy import LRUPolicy
 from .reference_impls import (
+    CountingGuardPolicy,
     _RandomSet,
     catch_up,
     cyclic_trace,
@@ -278,3 +279,34 @@ def test_loads_keys_are_the_new_pages_requested_this_phase(base, k, spread, n, s
     assert guard.mismatches == []
     assert guard.phase_starts[0] == 0 and len(guard.phase_starts) == guard.phase + 1
     assert [ph.c_q for ph in res.phase_stats] == guard.c_q
+
+
+# every base the grammar offers, with the predictions that make the guard
+# work hardest: inverted times, every label flipped, an always-wrong FITF
+COUNTED_BASES = {
+    "lru": lambda tr, k: None,
+    "marker": lambda tr, k: None,
+    "belady": lambda tr, k: None,
+    "blind_oracle": lambda tr, k: inverted_nrt(tr),
+    "lrb": lambda tr, k: flip_labels(tr, k, 1.0, seed=k),
+    "fitf": lambda tr, k: noisy_fitf(tr, k, 1.0, seed=k),
+    "switch_det(lru,marker)": lambda tr, k: None,
+    "switch_rand(lrb,marker)": lambda tr, k: flip_labels(tr, k, 1.0, seed=k),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 100, 1000])
+@pytest.mark.parametrize("base", sorted(COUNTED_BASES))
+def test_guard_work_is_constant_per_request(base, k):
+    # "O(1) extra per request", counted: phase resets are at least k
+    # requests apart, so their O(k) refills add up to at most n + k pages,
+    # and each page a catch-up removes was hit at most once per phase
+    n = 4 * k + 2000
+    tr = random_trace(np.random.default_rng(k), n, k + 1 + k // 2)
+    guard = CountingGuardPolicy(build_policy(base))
+    simulate(guard, tr, k, COUNTED_BASES[base](tr, k), seed=k, compute_opt=False)
+    gaps = [b - a for a, b in zip(guard.resets, guard.resets[1:])]
+    assert len(guard.resets) >= 2
+    assert min(gaps) >= k
+    assert guard.caught_up <= n
+    assert guard.reset_pages <= n + k

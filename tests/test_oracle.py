@@ -24,7 +24,7 @@ def test_belady_five_request_example():
     tr = Trace([0, 1, 2, 1, 0])
     out = belady_simulate(tr, 2)
     assert out.misses == 4
-    assert out.labels == [1, 0, 1, 0, 0]
+    assert out.labels == bytearray([1, 0, 1, 0, 0])
     assert max_belady_simulate(tr, 2).eviction_events == [(3, 0), (5, 2)]
 
 
@@ -32,7 +32,7 @@ def test_belady_no_evictions_when_cache_fits():
     tr = Trace([0, 1, 0, 1])
     out = belady_simulate(tr, 2)
     assert out.misses == 2
-    assert out.labels == [0, 0, 0, 0]
+    assert out.labels == bytearray([0, 0, 0, 0])
     assert max_belady_simulate(tr, 2).eviction_events == []
 
 
@@ -40,7 +40,7 @@ def test_belady_interleaved_example():
     # a b a c a at k=2: evicting b at t=4 keeps the hot page a
     tr = Trace([0, 1, 0, 2, 0])
     assert opt_cost(tr, 2) == 3
-    assert belady_labels(tr, 2) == [0, 1, 0, 0, 0]
+    assert belady_labels(tr, 2) == bytearray([0, 1, 0, 0, 0])
 
 
 def test_belady_collect_states():
@@ -49,7 +49,7 @@ def test_belady_collect_states():
     tr = Trace([0, 1, 2, 1, 0])
     out = max_belady_simulate(tr, 2, collect_states=True)
     got = belady_simulate(tr, 2)
-    assert (out.misses, out.labels) == (got.misses, got.labels)
+    assert (out.misses, bytearray(out.labels)) == (got.misses, got.labels)
     assert out.states[0] == frozenset({0})
     assert out.states[2] == frozenset({1, 2})
     assert out.states[4] == frozenset({1, 0})

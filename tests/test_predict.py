@@ -57,7 +57,7 @@ def test_perfect_nrt_equals_next_occurrence():
 
 def test_synthetic_sigma_zero_is_exact():
     tr = Trace([0, 1, 0, 2, 1, 0])
-    assert synthetic_nrt(tr, 0.0, seed=3).nrt == tr.next_occurrence
+    assert synthetic_nrt(tr, 0.0, seed=3).nrt == list(tr.next_occurrence)
 
 
 def test_synthetic_noise_stays_in_the_future():
@@ -95,16 +95,16 @@ def test_inverted_nrt_reverses_order():
 def test_perfect_labels_match_offline_evictions():
     tr = Trace([0, 1, 2, 1, 0])
     bundle = perfect_labels(tr, 2)
-    assert bundle.labels == belady_labels(tr, 2) == [1, 0, 1, 0, 0]
+    assert bundle.labels == belady_labels(tr, 2) == bytearray([1, 0, 1, 0, 0])
     bundle.labels[0] = 0  # each caller gets its own copy of the trace's labels
-    assert belady_labels(tr, 2) == [1, 0, 1, 0, 0]
+    assert belady_labels(tr, 2) == bytearray([1, 0, 1, 0, 0])
     assert measure_error(bundle, tr, k=2).eta_b == 1
 
 
 def test_flip_labels_extremes():
     tr = Trace([0, 1, 2, 1, 0])
     base = belady_labels(tr, 2)
-    assert flip_labels(tr, 2, 0.0, seed=1).labels == base
+    assert flip_labels(tr, 2, 0.0, seed=1).labels == list(base)
     assert flip_labels(tr, 2, 1.0, seed=1).labels == [1 - b for b in base]
 
 
@@ -243,11 +243,11 @@ def test_bundle_csv_roundtrip(tmp_path):
     save_bundle_csv(perfect_nrt(tr), nrt_path)
     loaded = load_bundle_csv(nrt_path)
     assert loaded.kind is PredictionKind.NRT
-    assert loaded.nrt == tr.next_occurrence
+    assert loaded.nrt == list(tr.next_occurrence)
 
     lab_path = tmp_path / "labels.csv"
     save_bundle_csv(perfect_labels(tr, 2), lab_path)
-    assert load_bundle_csv(lab_path).labels == belady_labels(tr, 2)
+    assert load_bundle_csv(lab_path).labels == list(belady_labels(tr, 2))
 
 
 def test_bundle_csv_rejects_gaps(tmp_path):

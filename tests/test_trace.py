@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from cachesim import (
     ingest_citibike,
     parse_plain_trace,
 )
+from cachesim import trace as trace_module
 from .reference_impls import (
     cyclic_trace,
     last_occurrence_at_or_before,
@@ -36,19 +39,19 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_next_occurrence_tiny():
-    assert Trace([0, 1, 0]).next_occurrence == [3, 4, 4]
+    assert Trace([0, 1, 0]).next_occurrence == array("q", [3, 4, 4])
 
 
 def test_next_occurrence_five_requests():
     # a b c b a: b recurs at 4, a at 5, everything else never again
-    assert Trace([0, 1, 2, 1, 0]).next_occurrence == [5, 4, 6, 6, 6]
+    assert Trace([0, 1, 2, 1, 0]).next_occurrence == array("q", [5, 4, 6, 6, 6])
 
 
 def test_next_occurrence_matches_quadratic_reference():
     rng = np.random.default_rng(0)
     for _ in range(200):
         pages = rng.integers(0, 8, size=int(rng.integers(1, 60))).tolist()
-        assert Trace(pages).next_occurrence == quadratic_next_occurrence(pages)
+        assert Trace(pages).next_occurrence == array("q", quadratic_next_occurrence(pages))
 
 
 def test_trace_basic_properties():
@@ -110,7 +113,7 @@ def test_digest_bytes_are_pinned():
 def test_trace_matches_the_loops(pages):
     tr = Trace(pages)
     assert tr.pages == pages
-    assert tr.next_occurrence == loop_next_occurrence(pages)
+    assert tr.next_occurrence == array("q", loop_next_occurrence(pages))
     assert tr.universe_size == len(set(pages))
     assert tr.digest == loop_digest(pages)
 
@@ -163,9 +166,22 @@ def test_plain_reader_matches_the_line_loop(text):
         assert got == expected
         return
     assert got.pages == expected
-    assert got.next_occurrence == loop_next_occurrence(expected)
+    assert got.next_occurrence == array("q", loop_next_occurrence(expected))
     assert got.universe_size == len(set(expected))
     assert got.digest == loop_digest(expected)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(PLAIN_PIECES), max_size=80).map("".join), st.integers(1, 8))
+def test_plain_reader_blocks_cut_lines_anywhere(text, block):
+    # blocks of a few characters cut tokens, comments and CRLF pairs in two
+    expected = _outcome(loop_parse_plain_trace, text)
+    with mock.patch.object(trace_module, "PLAIN_BLOCK", block):
+        got = _outcome(parse_plain_trace, text)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert got.pages == expected
 
 
 # check-in fields: padded users and locations, timestamps that tie once
@@ -199,7 +215,7 @@ def test_brightkite_reader_matches_the_line_loop(lines, odd, newline, cache_size
         return
     assert [(user, tr.pages) for user, tr in got] == expected
     for _user, tr in got:
-        assert tr.next_occurrence == loop_next_occurrence(tr.pages)
+        assert tr.next_occurrence == array("q", loop_next_occurrence(tr.pages))
 
 
 def test_brightkite_threshold_and_order():

@@ -1,8 +1,9 @@
 """The value-ordered victim choice against the scans it replaced.
 
-`blind_oracle`, `belady`, `fitf` (for its truth) and `belady_simulate` pick
-their victims from a lazy-deletion heap above `SCAN_K` slots and by one scan
-of the cache's heap keys up to it, `lrb` reads the label attached at
+`blind_oracle`, `belady` and `fitf` (for its truth) pick their victims from
+a lazy-deletion heap above `SCAN_K` slots and by one scan of the cache's heap
+keys up to it, `belady_simulate` does the same with its own cutover
+`OPT_SCAN_K`, `lrb` reads the label attached at
 each page's last request through `last_used`, `lru` takes the least recent
 page from the engine's `last_used`, and `marker` reads its marks from
 `last_used` and the request index of its last clear. On random traces with perfect, inverted and noisy predictions,
@@ -39,7 +40,7 @@ from cachesim import (
     perfect_nrt,
     synthetic_nrt,
 )
-from cachesim.oracle import SCAN_K, belady_simulate
+from cachesim.oracle import OPT_SCAN_K, SCAN_K, belady_simulate
 from cachesim.policy import BlindOraclePolicy, EvictionContext
 from cachesim.predict import PredictionBundle, PredictionKind
 from .reference_impls import (
@@ -108,7 +109,7 @@ def check_against_reference(trace, k, regime, seed):
     got = belady_simulate(trace, k)
     want = max_belady_simulate(trace, k)
     assert got.misses == want.misses
-    assert got.labels == want.labels
+    assert got.labels == bytearray(want.labels)
     return rebuilds, shielded
 
 
@@ -116,7 +117,7 @@ def check_against_reference(trace, k, regime, seed):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 3000),
-    k=st.sampled_from((1, 2, 3, SCAN_K, SCAN_K + 1, 17, 100)),
+    k=st.sampled_from((1, 2, 3, SCAN_K, SCAN_K + 1, OPT_SCAN_K, OPT_SCAN_K + 1, 17, 100)),
     spread=st.integers(0, 100),
     regime=st.sampled_from(sorted(REGIMES)),
 )
