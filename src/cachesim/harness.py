@@ -10,19 +10,16 @@ offline-optimum misses.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
-import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from .guard import InvariantViolation, phase_report, phase_stats_csv
-from .oracle import check_k, opt_cost
+from .oracle import check_k
 from .policy import build_policy, simulate
 from .predict import (
     PredictionBundle,
@@ -54,7 +51,6 @@ CSV_COLUMNS = [
 DEFAULT_K = {"plain": 10, "brightkite": 10, "citi": 100, "addr": 16}
 
 OUT_DIR_ENV = "CACHESIM_OUT_DIR"
-CACHE_DIR_ENV = "CACHESIM_CACHE_DIR"
 
 
 @dataclass
@@ -210,71 +206,6 @@ def predictor_points(pred: str, sweep: str | None) -> tuple[str, list[tuple[str,
     return name, points
 
 
-_OPT_SCHEMA = "v1:"
-
-
-class _OptCache:
-    """Offline-optimum miss counts keyed by `v1:{trace digest}:{k}`.
-
-    The version prefix is raised whenever the optimum's computation changes,
-    so that a count persisted by another version is never read; such counts,
-    and any stored count that is not a positive integer, are dropped when the
-    file is loaded, so the next save removes them.
-
-    Always memoised in memory; persisted to a JSON file when the cache
-    directory environment variable is set: `save`, which `run` calls once at
-    its end, writes the file when counts were added since the last write. The
-    file is replaced atomically, and a file that cannot be read or written
-    gives a `RuntimeWarning`, after which the run goes on with the optimum it
-    computed.
-    """
-
-    def __init__(self):
-        self._mem: dict[str, int] = {}
-        self._added = False
-        self._path: Path | None = None
-        cache_dir = os.environ.get(CACHE_DIR_ENV)
-        if cache_dir:
-            self._path = Path(cache_dir) / "opt_cache.json"
-            if self._path.exists():
-                try:
-                    stored = json.loads(self._path.read_text())
-                    self._mem.update((key, opt) for key, opt in stored.items()
-                                     if key.startswith(_OPT_SCHEMA)
-                                     and type(opt) is int and opt > 0)
-                # AttributeError: the file holds JSON that is not an object
-                except (OSError, ValueError, AttributeError) as exc:
-                    warnings.warn(f"cannot read optimum cache {self._path}: {exc}",
-                                  RuntimeWarning)
-
-    def get(self, trace: Trace, k: int) -> int:
-        key = f"{_OPT_SCHEMA}{trace.digest}:{k}"
-        opt = self._mem.get(key)
-        if opt is None:
-            opt = self._mem[key] = opt_cost(trace, k)
-            self._added = True
-        return opt
-
-    def save(self) -> None:
-        """Write the file, if one is set and counts were added since the last write."""
-        if self._path is None or not self._added:
-            return
-        self._added = False
-        path = self._path
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(self._mem))
-            os.replace(tmp, path)
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            warnings.warn(f"cannot write optimum cache {path}: {exc}", RuntimeWarning)
-
-
-_opt_cache = _OptCache()
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -336,9 +267,8 @@ def replay_subtrace(
     `wall_ms`, plus `eta_t`, `eta_b` and the FITF wrong answers and queries
     when there is a bundle), and this run's `.phases.csv` section ("" if none).
     """
-    opt = _opt_cache.get(trace, k)
-    result = simulate(build_policy(config.policy), trace, k, bundle, seed=seed, opt_misses=opt)
-    record = {"misses": result.misses, "opt": opt, "wall_ms": result.wall_ms}
+    result = simulate(build_policy(config.policy), trace, k, bundle, seed=seed)
+    record = {"misses": result.misses, "opt": result.opt_misses, "wall_ms": result.wall_ms}
     if bundle is not None:
         err = measure_error(bundle, trace, k=k)
         record.update(eta_t=err.eta_t, eta_b=err.eta_b, fitf_wrong=err.eta_f,
@@ -357,8 +287,9 @@ def replay_subtrace(
 def run(config: ExperimentConfig) -> RunTable:
     """Execute the experiment: every sweep point, every seed, every sub-trace.
 
-    Writes the result CSV when `config.out` is set (plus a `.phases.csv`
-    companion when `config.phase_stats` is set and the policy is guarded).
+    Writes the result CSV when `config.out` is set, plus a `.phases.csv`
+    companion when `config.phase_stats` is set and the policy is guarded;
+    otherwise a companion left by an earlier run is removed.
     With `config.assert_invariants`, any guarded run whose phase counters
     break their inequalities raises `InvariantViolation`.
     """
@@ -397,12 +328,13 @@ def run(config: ExperimentConfig) -> RunTable:
         rows += seed_rows
         rows.append(mean)
 
-    _opt_cache.save()
     table = RunTable(rows)
     phases = "".join(sections)
     if config.out is not None:
-        out_path = table.write_csv(config.out)
+        companion = Path(str(table.write_csv(config.out)) + ".phases.csv")
         if phases:
-            Path(str(out_path) + ".phases.csv").write_text(phases)
+            companion.write_text(phases)
+        else:  # an earlier run's phases must not sit beside this run's rows
+            companion.unlink(missing_ok=True)
     return table
 

@@ -12,6 +12,9 @@ Up to `OPT_SCAN_K` cache slots the victim is found by one scan of the cached
 pages' keys, above it by a lazy-deletion heap of the same keys (see
 `belady_simulate`), so both give the same victim. The labels of one run are
 a `bytearray` with one byte a request.
+
+`opt_cost` and `belady_labels` share one `belady_simulate` run per
+(trace, k): its miss count and its labels are kept on the trace.
 """
 
 from __future__ import annotations
@@ -109,19 +112,25 @@ def belady_simulate(trace: Trace, k: int) -> BeladyOutcome:
     return BeladyOutcome(misses, labels)
 
 
+def _optimum(trace: Trace, k: int) -> tuple[int, bytes]:
+    """Miss count and labels of the optimum, from one `belady_simulate` run
+    per (trace, k), kept on the trace; the labels as immutable `bytes`."""
+    optimum = trace._optima.get(k)
+    if optimum is None:
+        out = belady_simulate(trace, k)
+        optimum = trace._optima[k] = (out.misses, bytes(out.labels))
+    return optimum
+
+
 def opt_cost(trace: Trace, k: int) -> int:
     """Miss count of the offline optimum."""
-    return belady_simulate(trace, k).misses
+    return _optimum(trace, k)[0]
 
 
 def belady_labels(trace: Trace, k: int) -> bytearray:
     """Per-request binary eviction labels of the offline optimum, one byte each.
 
-    Computed once per (trace, k) and kept on the trace as `bytes`; every call
-    returns a fresh `bytearray`, so no caller can change the labels another
-    caller sees.
+    Every call returns a fresh `bytearray`, so no caller can change the
+    labels another caller sees.
     """
-    labels = trace._labels.get(k)
-    if labels is None:
-        labels = trace._labels[k] = bytes(belady_simulate(trace, k).labels)
-    return bytearray(labels)
+    return bytearray(_optimum(trace, k)[1])

@@ -11,7 +11,6 @@ a list holds a separate int object for every value above 256.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from array import array
 from itertools import count, filterfalse
@@ -88,10 +87,11 @@ class Trace:
 
     `pages` is a list of int page ids, `next_occurrence` an `array('q')` of
     request indices (sentinel n+1), and `universe_size` the number of
-    distinct pages.
+    distinct pages. The offline optimum's miss count and labels at each
+    cache size are kept on the trace once computed (see `oracle`).
     """
 
-    __slots__ = ("pages", "next_occurrence", "universe_size", "_digest", "_labels")
+    __slots__ = ("pages", "next_occurrence", "universe_size", "_optima")
 
     def __init__(self, pages: Iterable[PageId]):
         given = pages if type(pages) is list else list(pages)
@@ -109,20 +109,11 @@ class Trace:
         self.pages: list[PageId] = pages
         self.next_occurrence: array = nxt
         self.universe_size: int = universe
-        self._digest: str | None = None
-        # the optimum's eviction labels per cache size, kept by `oracle.belady_labels`
-        self._labels: dict[int, bytes] = {}
+        # cache size -> the optimum's (misses, labels), kept by `oracle._optimum`
+        self._optima: dict[int, tuple[int, bytes]] = {}
 
     def __len__(self) -> int:
         return len(self.pages)
-
-    @property
-    def digest(self) -> str:
-        """SHA-256 of the page sequence, for content-addressed caching."""
-        if self._digest is None:
-            text = "\n".join(map(str, self.pages))
-            self._digest = hashlib.sha256(text.encode()).hexdigest()
-        return self._digest
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Trace(n={len(self.pages)}, universe={self.universe_size})"

@@ -18,9 +18,8 @@ that compared the heap's length with its limit on every request, which the
 countdown to the next rebuild must reproduce. A guard that counts its own
 work (phase resets and the pages each reset and catch-up moves) checks the
 paper's "O(1) extra per request" by counts instead of timings.
-The plain and check-in readers, the next-occurrence pass and the digest as
-per-line and per-request loops are the rules the package's C-level passes
-must reproduce.
+The plain and check-in readers and the next-occurrence pass as per-line and
+per-request loops are the rules the package's C-level passes must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
 policy), the request and occurrence helpers, the random and cyclic trace
 generators, the generator formulas of label flipping and error measurement,
@@ -30,7 +29,6 @@ live here too, because only the tests use them.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,13 +115,6 @@ def loop_next_occurrence(pages: list[int]) -> list[int]:
         nxt[i] = last_seen.get(p, n + 1)
         last_seen[p] = i + 1
     return nxt
-
-
-def loop_digest(pages: list[int]) -> str:
-    """`Trace.digest` as hashed before: each page's decimal bytes, newline-joined."""
-    h = hashlib.sha256()
-    h.update(b"\n".join(str(p).encode() for p in pages))
-    return h.hexdigest()
 
 
 def loop_parse_plain_trace(text: str) -> list[int]:

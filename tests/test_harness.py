@@ -16,14 +16,13 @@ from cachesim import (
     ingest_address_trace,
     ingest_brightkite,
     ingest_citibike,
-    opt_cost,
     perfect_nrt,
     run,
     save_bundle_csv,
     simulate,
 )
 from cachesim import cli, harness, oracle
-from cachesim.harness import CSV_COLUMNS, _OptCache, parse_pred_spec, parse_sweep, resolve_out
+from cachesim.harness import CSV_COLUMNS, parse_pred_spec, parse_sweep, resolve_out
 from cachesim.policy import POLICY_FACTORIES, LRUPolicy
 from cachesim.trace import parse_plain_trace
 
@@ -188,6 +187,43 @@ def test_phase_companion_file(plain_trace, tmp_path):
     assert out.read_text().startswith(",".join(CSV_COLUMNS))
 
 
+def test_phase_companion_belongs_to_the_last_run(tmp_path):
+    out = tmp_path / "res.csv"
+    companion = Path(str(out) + ".phases.csv")
+    args = ["--trace", str(DATA / "brightkite_sample.tsv"), "--format", "brightkite",
+            "--phase-stats", "--out", str(out)]
+    assert cli.main(args + ["--policy", "guard:lru"]) == 0
+    assert companion.read_text().startswith("# user:")
+    # an unguarded run has no phases: the guard's counters must not stay
+    # beside its rows
+    assert cli.main(args + ["--policy", "lru"]) == 0
+    assert out.read_text().splitlines()[1].startswith("lru,")
+    assert not companion.exists()
+    assert cli.main(args + ["--policy", "guard:lru"]) == 0
+    assert companion.read_text().startswith("# user:")
+
+
+@pytest.mark.parametrize("policy, phase_stats", [
+    ("lru", True),  # unguarded: no counters to write
+    ("guard:lru", False),  # counters not asked for
+])
+def test_a_run_without_phases_removes_a_stale_companion(plain_trace, tmp_path,
+                                                        policy, phase_stats):
+    out = tmp_path / "res.csv"
+    companion = Path(str(out) + ".phases.csv")
+    companion.write_text("# trace seed=0\nphase,c_q,n_q,o_q,n_q_new,n_q_old\n")
+    run(ExperimentConfig(trace=plain_trace, k=2, policy=policy,
+                         out=out, phase_stats=phase_stats))
+    assert out.read_text().splitlines()[1].startswith(f"{policy},")
+    assert not companion.exists()
+
+
+def test_a_run_without_phases_makes_no_companion(plain_trace, tmp_path):
+    out = tmp_path / "res.csv"
+    run(ExperimentConfig(trace=plain_trace, k=2, policy="lru", out=out, phase_stats=True))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv", "trace.txt"]
+
+
 def test_out_dir_roots_bare_filenames(plain_trace, tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUT_DIR_ENV, str(tmp_path / "outputs"))
     run(ExperimentConfig(trace=plain_trace, k=2, out="bare.csv"))
@@ -195,101 +231,6 @@ def test_out_dir_roots_bare_filenames(plain_trace, tmp_path, monkeypatch):
     assert resolve_out("bare.csv") == tmp_path / "outputs" / "bare.csv"
     nested = tmp_path / "elsewhere" / "res.csv"
     assert resolve_out(nested) == nested
-
-
-def test_opt_cache_persists_when_directed(plain_trace, tmp_path, monkeypatch):
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    table = run(ExperimentConfig(trace=plain_trace, k=2))
-    stored = json.loads((tmp_path / "opt_cache.json").read_text())
-    assert list(stored.values()) == [table.rows[0]["opt"]]
-    fresh = _OptCache()
-    tr = parse_plain_trace(PLAIN)
-    assert fresh.get(tr, 2) == table.rows[0]["opt"]
-
-
-def test_opt_cache_ignores_unversioned_entries(plain_trace, tmp_path, monkeypatch):
-    # an entry keyed as before the version prefix, holding a wrong count
-    tr = parse_plain_trace(PLAIN)
-    (tmp_path / "opt_cache.json").write_text(json.dumps({f"{tr.digest}:2": 999}))
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    table = run(ExperimentConfig(trace=plain_trace, k=2))
-    assert table.rows[0]["opt"] == opt_cost(tr, 2) != 999
-    stored = json.loads((tmp_path / "opt_cache.json").read_text())
-    assert stored[f"v1:{tr.digest}:2"] == opt_cost(tr, 2)
-
-
-def test_opt_cache_drops_entries_of_other_schemas(plain_trace, tmp_path, monkeypatch):
-    tr = parse_plain_trace(PLAIN)
-    kept = {"v1:0123:3": 7}  # another trace's count under the current schema
-    (tmp_path / "opt_cache.json").write_text(json.dumps(
-        {f"{tr.digest}:2": 999, f"v0:{tr.digest}:2": 998, **kept}))
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    run(ExperimentConfig(trace=plain_trace, k=2))
-    stored = json.loads((tmp_path / "opt_cache.json").read_text())
-    assert stored == {**kept, f"v1:{tr.digest}:2": opt_cost(tr, 2)}
-
-
-@pytest.mark.parametrize("count", ["seven", -3, 2.5, True])
-def test_opt_cache_drops_counts_that_are_not_positive_integers(
-        count, plain_trace, tmp_path, monkeypatch):
-    tr = parse_plain_trace(PLAIN)
-    key = f"v1:{tr.digest}:2"
-    (tmp_path / "opt_cache.json").write_text(json.dumps({key: count}))
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    table = run(ExperimentConfig(trace=plain_trace, k=2))
-    assert table.rows[0]["opt"] == opt_cost(tr, 2)
-    stored = json.loads((tmp_path / "opt_cache.json").read_text())[key]
-    assert type(stored) is int and stored == opt_cost(tr, 2)
-
-
-@pytest.mark.parametrize("corrupt", ["{not json", "[1]"])
-def test_corrupt_opt_cache_warns_and_is_replaced(corrupt, plain_trace, tmp_path, monkeypatch):
-    cache_file = tmp_path / "opt_cache.json"
-    cache_file.write_text(corrupt)
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
-    with pytest.warns(RuntimeWarning, match="opt_cache.json"):
-        monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    table = run(ExperimentConfig(trace=plain_trace, k=2))
-    assert list(json.loads(cache_file.read_text()).values()) == [table.rows[0]["opt"]]
-    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
-
-
-def test_opt_cache_is_written_once_per_run(tmp_path, monkeypatch):
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    writes = []
-    replace = harness.os.replace
-
-    def counted(src, dst):
-        writes.append(dst)
-        replace(src, dst)
-
-    monkeypatch.setattr(harness.os, "replace", counted)
-    config = ExperimentConfig(trace=DATA / "brightkite_sample.tsv", format="brightkite",
-                              k=10, seeds=[0, 1])
-    run(config)
-    assert writes == [tmp_path / "opt_cache.json"]
-    assert len(json.loads(writes[0].read_text())) == 3  # one optimum per user
-    run(config)  # every optimum is known: nothing to write
-    assert len(writes) == 1
-
-
-def test_unwritable_opt_cache_warns_and_keeps_results(plain_trace, tmp_path, monkeypatch):
-    monkeypatch.delenv(harness.CACHE_DIR_ENV, raising=False)
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    config = dict(trace=plain_trace, k=2, policy="guard:marker", seeds=[0, 1])
-    uncached = run(ExperimentConfig(**config))
-    not_a_dir = tmp_path / "regular_file"
-    not_a_dir.write_text("")
-    monkeypatch.setenv(harness.CACHE_DIR_ENV, str(not_a_dir))
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
-    with pytest.warns(RuntimeWarning, match="regular_file"):
-        table = run(ExperimentConfig(**config))
-    assert _strip_wall(table.to_csv()) == _strip_wall(uncached.to_csv())
 
 
 def test_label_sweep_runs_belady_once_per_trace_and_k(monkeypatch):
@@ -300,8 +241,6 @@ def test_label_sweep_runs_belady_once_per_trace_and_k(monkeypatch):
         calls.append(k)
         return belady_simulate(trace, k, **kwargs)
 
-    monkeypatch.delenv(harness.CACHE_DIR_ENV, raising=False)
-    monkeypatch.setattr(harness, "_opt_cache", _OptCache())
     monkeypatch.setattr(oracle, "belady_simulate", counted)
     config = ExperimentConfig(trace=DATA / "brightkite_sample.tsv", format="brightkite",
                               k=10, policy="guard:lrb", pred="binary",
@@ -309,8 +248,9 @@ def test_label_sweep_runs_belady_once_per_trace_and_k(monkeypatch):
     users = len(harness.load_traces(config))
     assert users == 3
     assert len(run(config).rows) == 9  # (2 seeds + mean) per sweep point
-    # one optimum and one set of labels per user, however many replays
-    assert len(calls) == 2 * users
+    # one optimum run per user gives its misses and its labels, however
+    # many replays
+    assert len(calls) == users
 
 
 def test_parse_pred_spec():

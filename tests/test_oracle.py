@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cachesim import Trace, opt_cost
+from cachesim import (
+    ExperimentConfig,
+    Trace,
+    flip_labels,
+    measure_error,
+    opt_cost,
+    perfect_labels,
+    run,
+)
+from cachesim import oracle
 from cachesim.oracle import belady_labels, belady_simulate
 from .reference_impls import (
     belady_misses_naive,
@@ -68,6 +79,107 @@ def test_optimum_rejects_a_fraction_of_a_slot():
             with pytest.raises(ValueError):
                 call(tr, k)
     assert opt_cost(tr, 2.0) == opt_cost(tr, np.int64(2)) == opt_cost(tr, 2) == 6
+
+
+def test_optimum_runs_once_per_trace_and_k(monkeypatch):
+    calls = []
+    simulate = oracle.belady_simulate
+
+    def counted(trace, k):
+        calls.append(k)
+        return simulate(trace, k)
+
+    monkeypatch.setattr(oracle, "belady_simulate", counted)
+    tr = random_trace(np.random.default_rng(4), 200, 12)
+    for k in (2, 5, 2, 5):
+        opt_cost(tr, k)
+        belady_labels(tr, k)
+        measure_error(perfect_labels(tr, k), tr, k=k)
+        measure_error(flip_labels(tr, k, 0.3, seed=k), tr, k=k)
+        opt_cost(tr, k)
+    assert calls == [2, 5]
+
+
+def test_changing_returned_labels_leaves_the_optimum_alone():
+    tr = random_trace(np.random.default_rng(6), 150, 10)
+    k = 3
+    want = belady_simulate(tr, k)
+    labels = belady_labels(tr, k)
+    labels[:] = bytes(1 - b for b in labels)
+    perfect_labels(tr, k).labels[0] ^= 1
+    flip_labels(tr, k, 0.5, seed=1).labels[1] ^= 1
+    assert opt_cost(tr, k) == want.misses
+    assert belady_labels(tr, k) == want.labels
+    assert belady_labels(tr, k) is not belady_labels(tr, k)
+    assert perfect_labels(tr, k).labels == want.labels
+
+
+@pytest.mark.parametrize("first", [
+    lambda tr, k: opt_cost(tr, k),
+    lambda tr, k: belady_labels(tr, k),
+    lambda tr, k: perfect_labels(tr, k),
+    lambda tr, k: flip_labels(tr, k, 0.4, seed=2),
+    lambda tr, k: measure_error(perfect_labels(tr, k), tr, k=k),
+], ids=["opt_cost", "belady_labels", "perfect_labels", "flip_labels", "measure_error"])
+def test_whichever_call_runs_the_optimum_all_read_the_same(first):
+    tr = random_trace(np.random.default_rng(8), 180, 11)
+    k = 4
+    first(tr, k)
+    want = belady_simulate(tr, k)
+    assert want.misses == belady_misses_naive(tr.pages, k)
+    assert opt_cost(tr, k) == want.misses
+    assert belady_labels(tr, k) == want.labels
+    assert perfect_labels(tr, k).labels == want.labels
+    assert list(tr._optima) == [k]
+
+
+def test_optimum_is_kept_per_trace():
+    pages = [1, 2, 3, 1, 4, 2, 5, 1, 3, 2]
+    a, b, c = Trace(pages), Trace(pages), Trace(pages[::-1] + [6, 6, 7])
+    assert opt_cost(a, 2) == opt_cost(b, 2) == belady_misses_naive(pages, 2)
+    assert opt_cost(c, 2) == belady_misses_naive(c.pages, 2) != opt_cost(a, 2)
+    assert belady_labels(c, 2) == belady_simulate(c, 2).labels
+    assert a._optima is not b._optima and list(a._optima) == list(b._optima) == [2]
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+def test_a_rejected_k_keeps_no_optimum(k):
+    tr = Trace([1, 2, 3, 1, 2, 3])
+    with pytest.raises(ValueError):
+        opt_cost(tr, k)
+    with pytest.raises(ValueError):
+        belady_labels(tr, k)
+    assert tr._optima == {}
+
+
+def test_equal_whole_k_share_one_optimum(monkeypatch):
+    calls = []
+    simulate = oracle.belady_simulate
+
+    def counted(trace, k):
+        calls.append(k)
+        return simulate(trace, k)
+
+    monkeypatch.setattr(oracle, "belady_simulate", counted)
+    tr = Trace([1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5])
+    assert opt_cost(tr, 3) == opt_cost(tr, 3.0) == opt_cost(tr, np.int64(3))
+    assert belady_labels(tr, 3.0) == belady_labels(tr, np.int64(3))
+    assert calls == [3]
+
+
+def test_repeated_runs_in_one_process_give_identical_rows():
+    config = ExperimentConfig(
+        trace=Path(__file__).parent / "data" / "brightkite_sample.tsv",
+        format="brightkite", k=10, policy="guard:marker", pred="binary",
+        sweep="p_flip=0,0.5", seeds=[0, 1])
+
+    def rows():
+        return [{col: v for col, v in row.items() if col != "wall_ms"}
+                for row in run(config).rows]
+
+    first = rows()
+    assert first == rows()
+    assert all(row["opt"] > 0 for row in first)
 
 
 def test_belady_matches_naive_reference():

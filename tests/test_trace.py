@@ -24,7 +24,6 @@ from cachesim import trace as trace_module
 from .reference_impls import (
     cyclic_trace,
     last_occurrence_at_or_before,
-    loop_digest,
     loop_ingest_brightkite,
     loop_next_occurrence,
     loop_parse_plain_trace,
@@ -102,12 +101,6 @@ def test_trace_copies_its_input():
     assert tr.pages == [0, 1, 0]
 
 
-def test_digest_bytes_are_pinned():
-    # the optimum cache's `v1:` keys are these digests
-    assert Trace([0, 1, 2, 0, 3]).digest == (
-        "ba6fdbb88131df4922ee557868876a751f96b9ac3b240d6e6bb82da201edadcf")
-
-
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=80))
 def test_trace_matches_the_loops(pages):
@@ -115,7 +108,6 @@ def test_trace_matches_the_loops(pages):
     assert tr.pages == pages
     assert tr.next_occurrence == array("q", loop_next_occurrence(pages))
     assert tr.universe_size == len(set(pages))
-    assert tr.digest == loop_digest(pages)
 
 
 def test_occurrence_queries():
@@ -126,12 +118,6 @@ def test_occurrence_queries():
     assert last_occurrence_at_or_before(tr, 0, 5) == 5
     assert last_occurrence_at_or_before(tr, 0, 4) == 1
     assert last_occurrence_at_or_before(tr, 9, 4) is None
-
-
-def test_trace_digest_is_content_addressed():
-    a, b = Trace([1, 2, 3]), Trace([1, 2, 3])
-    assert a.digest == b.digest
-    assert a.digest != Trace([1, 2, 4]).digest
 
 
 def test_parse_plain_trace_interns_and_skips_comments():
@@ -168,7 +154,6 @@ def test_plain_reader_matches_the_line_loop(text):
     assert got.pages == expected
     assert got.next_occurrence == array("q", loop_next_occurrence(expected))
     assert got.universe_size == len(set(expected))
-    assert got.digest == loop_digest(expected)
 
 
 @settings(deadline=None, max_examples=300)

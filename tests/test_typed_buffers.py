@@ -60,7 +60,8 @@ def test_buffers_equal_their_list_references(pages):
         assert list(out.labels) == ref.labels and out.misses == ref.misses
         labels = belady_labels(tr, k)
         assert type(labels) is bytearray and list(labels) == ref.labels
-        assert type(tr._labels[k]) is bytes
+        misses, kept = tr._optima[k]
+        assert type(kept) is bytes and list(kept) == ref.labels and misses == ref.misses
 
 
 def _python_l1(pred, truth) -> float:
