@@ -20,13 +20,12 @@ to `SCAN_K` it keeps none, and `furthest` scans the candidates once, in
 O(k). Every other policy scans `candidates`.
 
 The `rng` that `begin_run` and `choose_victim` receive is the run's
-`DrawStream`, which the engine wraps once around the generator it is given
-(a stream it is given is kept, so a combiner's lanes draw from their outer
-engine's stream). `simulate` gives it a stream over `default_rng(seed)`,
-which makes that generator at the run's first draw, so a run that never
-draws makes none. Policies draw with `rng.integers(n)` and `rng.random()`,
-which return what numpy's `Generator` returns for the same calls, so a seed
-reproduces a run draw for draw.
+`DrawStream`, the one the engine is given (a combiner hands its own engine's
+stream to its lanes, so they draw from the outer run's stream). `simulate`
+gives it `DrawStream(seed)`, which makes `default_rng(seed)` at the run's
+first draw, so a run that never draws makes no generator. Policies draw with
+`rng.integers(n)` and `rng.random()`, which return what numpy's `Generator`
+returns for the same calls, so a seed reproduces a run draw for draw.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Sequence
-
-import numpy as np
 
 from .draws import DrawStream
 from .oracle import SCAN_K, check_k, opt_cost
@@ -87,9 +84,7 @@ class EvictionContext:
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
                  bundle: PredictionBundle | None,
-                 rng: np.random.Generator | DrawStream):
-        if not isinstance(rng, DrawStream):
-            rng = DrawStream(rng)
+                 rng: DrawStream):
         policy.begin_run(trace, k, bundle, rng)
         self.policy = policy
         self.k = k
@@ -369,14 +364,13 @@ class _CombinerBase(Policy):
         self.active = 0
 
     def _advance(self, now: int) -> None:
-        """Serve the lanes in lockstep up to request `now`."""
+        """Serve the lanes in lockstep up to request `now`. Every request
+        reaches the combiner, so the lanes are at most one request behind."""
         a, b = self.lanes
-        i = a.served
-        while i < now:
-            i += 1
+        if a.served < now:
             misses_a, misses_b = a.misses, b.misses
-            a.advance(i)
-            b.advance(i)
+            a.advance(now)
+            b.advance(now)
             self._after_step(a.misses > misses_a, b.misses > misses_b)
 
     def _after_step(self, miss_a: bool, miss_b: bool) -> None:

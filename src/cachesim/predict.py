@@ -191,16 +191,16 @@ def noisy_fitf(trace: Trace, k: int, epsilon: float, seed: int = 0) -> Predictio
     The function is queried with the replay engine's context at each
     eviction of a `fitf` run, and takes the true furthest candidate from
     `ctx.furthest()` (ties: least recently used first). Each query takes one
-    `random()` from the bundle's own draw stream over `default_rng(seed)`:
-    with probability 1 - epsilon the true furthest page is
-    returned, otherwise a uniformly random other candidate (the sole
-    candidate when there is no alternative). Wrong answers are tallied on the
-    bundle.
+    `random()` from the bundle's own `DrawStream(seed)`, which makes
+    `default_rng(seed)` at the first query: with probability 1 - epsilon the
+    true furthest page is returned, otherwise a uniformly random other
+    candidate (the sole candidate when there is no alternative). Wrong answers
+    are tallied on the bundle.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    # the bundle's own stream: it holds its generator, and no other caller draws from it
-    stream = DrawStream(np.random.default_rng(seed))
+    # the bundle's own stream: no other caller draws from it
+    stream = DrawStream(seed)
     bundle = PredictionBundle(PredictionKind.FITF)
 
     def choice(ctx: EvictionContext) -> PageId:

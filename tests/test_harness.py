@@ -354,6 +354,9 @@ def test_cli_error_exits(plain_trace, tmp_path, capsys):
     assert cli.main(["--config", str(bad_cfg)]) == 1
     assert cli.main(["--trace", str(plain_trace), "--seeds", "0"]) == 1
     capsys.readouterr()
+    bad_cfg.write_text(json.dumps({"trace": str(plain_trace), "seeds": [0, -1]}))
+    assert cli.main(["--config", str(bad_cfg)]) == 1
+    assert "a seed must be a non-negative integer, got -1" in capsys.readouterr().err
     for pred, sweep, match in BAD_PREDICTORS:
         argv = ["--trace", str(plain_trace), "--pred", pred]
         assert cli.main(argv + (["--sweep", sweep] if sweep else [])) == 1

@@ -30,6 +30,7 @@ from cachesim import (
     noisy_fitf,
     synthetic_nrt,
 )
+from cachesim.draws import DrawStream
 from cachesim.guard import GuardPolicy
 from cachesim.policy import (
     BeladyPolicy,
@@ -99,7 +100,7 @@ def state(guard) -> tuple:
 def replay(policy, engine_cls, trace, k, bundle, seed, audit=None):
     """Every (request, victim) of one run, ending with the invariant violation
     that stopped it, if any; `audit(t)` runs after each request."""
-    engine = engine_cls(policy, trace, k, bundle, np.random.default_rng(seed))
+    engine = engine_cls(policy, trace, k, bundle, DrawStream(seed))
     log = []
     try:
         for t in range(1, len(trace) + 1):

@@ -107,10 +107,10 @@ def test_results_match_pinned_values(spec, pinned):
 
 @pytest.mark.parametrize("spec", ["fitf", "guard:fitf", "switch_rand(fitf,marker)"])
 def test_fitf_bundle_keeps_its_generator_alive(spec, pinned):
-    """A FITF bundle draws from its own stream, which holds the bit
-    generator it reads. Nothing else refers to that generator once the bundle
-    is built, so collect what can be collected and build other Generators
-    before the replay: the bundle's answers must not change."""
+    """A FITF bundle draws from its own stream, which makes the bit
+    generator it reads at the first query and holds it. Nothing else refers
+    to that generator, so collect what can be collected and build other
+    Generators before the replay: the bundle's answers must not change."""
     decoys = []
 
     def collected_bundle(kind, trace, k, seed):

@@ -23,6 +23,7 @@ from cachesim import (
     save_bundle_csv,
     synthetic_nrt,
 )
+from cachesim.draws import DrawStream
 from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext, FitFFollowerPolicy
 from cachesim.predict import NRT_CAP, PredictionKind, binary_from_nrt, load_bundle_csv
@@ -37,8 +38,7 @@ from .reference_impls import (
 def replay_fitf(trace, k, bundle, until, seed=0):
     """Replay `fitf` over the first `until` requests; return the bundle's
     counts and, per eviction, (request, true furthest page by scan, victim)."""
-    engine = EvictionContext(FitFFollowerPolicy(), trace, k, bundle,
-                             np.random.default_rng(seed))
+    engine = EvictionContext(FitFFollowerPolicy(), trace, k, bundle, DrawStream(seed))
     evictions = []
     for i in range(1, until + 1):
         cached, last_used = set(engine.cached), dict(engine.last_used)

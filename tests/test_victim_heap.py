@@ -40,6 +40,7 @@ from cachesim import (
     perfect_nrt,
     synthetic_nrt,
 )
+from cachesim.draws import DrawStream
 from cachesim.oracle import OPT_SCAN_K, SCAN_K, belady_simulate
 from cachesim.policy import BlindOraclePolicy, EvictionContext
 from cachesim.predict import PredictionBundle, PredictionKind
@@ -82,7 +83,7 @@ REGIMES = {
 
 def eviction_log(policy, trace, k, bundle, seed, engine_cls=EvictionContext):
     """Every (request index, victim) of one run, and the engine that ran it."""
-    engine = engine_cls(policy, trace, k, bundle, np.random.default_rng(seed))
+    engine = engine_cls(policy, trace, k, bundle, DrawStream(seed))
     log = []
     for i in range(1, len(trace) + 1):
         engine.advance(i)
@@ -145,7 +146,7 @@ def test_no_evictable_page_is_a_contract_violation():
     for k in (3, SCAN_K + 3):
         trace = Trace(list(range(k)) + [0, k])
         policy = BlindOraclePolicy()
-        engine = EvictionContext(policy, trace, k, perfect_nrt(trace), np.random.default_rng(0))
+        engine = EvictionContext(policy, trace, k, perfect_nrt(trace), DrawStream(0))
         engine.advance(k + 1)
         engine.excluded = set(engine.cached)
         with pytest.raises(ContractViolation, match="found no evictable page at t=0"):
@@ -258,8 +259,7 @@ def test_rebuild_countdown_matches_length_check(spec, k):
         assert [e.rebuilds for e in heap_engines(engine)] == rebuilds
         assert sum(rebuilds) > 0
         # served in one call, as `simulate` serves it
-        whole = EvictionContext(build_policy(spec), trace, k, bundle(seed),
-                                np.random.default_rng(seed))
+        whole = EvictionContext(build_policy(spec), trace, k, bundle(seed), DrawStream(seed))
         whole.advance(len(trace))
         assert (whole.misses, whole.rebuilds) == (engine.misses, engine.rebuilds)
 
