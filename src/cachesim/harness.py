@@ -100,7 +100,7 @@ def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
     if fmt == "citi":
         return [("citi", ingest_citibike(text))]
     sets = ingest_address_trace(text, ways=k)  # fmt == "addr"
-    return [(f"set:{idx}", tr) for idx, tr in sorted(sets.items())]
+    return [(f"set:{idx}", tr) for idx, tr in sets.items()]
 
 
 def parse_pred_spec(spec: str) -> tuple[str, dict[str, str]]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from itertools import count, filterfalse
-from operator import itemgetter, methodcaller
-from typing import Iterable
+from itertools import chain, count, filterfalse
+from operator import methodcaller
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -119,31 +119,46 @@ class Trace:
         return f"Trace(n={len(self.pages)}, universe={self.universe_size})"
 
 
-# Characters of text the plain reader splits into lines at a time.
+# Characters of text a line-oriented reader splits into lines at a time.
 PLAIN_BLOCK = 1 << 14
 # The characters `str.splitlines` ends a line at (CRLF is CR, then LF).
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of `text`, as one list per `PLAIN_BLOCK` characters.
+
+    The lists joined equal `text.splitlines()`, so no list holds every line.
+    A block cut inside a line carries that line on to the next block, and so
+    does a block that ends in CR, with the CR kept: the LF of a CRLF pair may
+    begin the next block.
+    """
+    carry = ""
+    for start in range(0, len(text), PLAIN_BLOCK):
+        end = start + PLAIN_BLOCK
+        lines = (carry + text[start:end]).splitlines()
+        carry = ""
+        if end < len(text):
+            last = text[end - 1]
+            if last not in _LINE_BREAKS:
+                carry = lines.pop()
+            elif last == "\r":
+                carry = lines.pop() + "\r"
+        yield lines
 
 
 def parse_plain_trace(text: str) -> Trace:
     """Parse the plain format: one token per line; blank lines and ``#`` comments skipped.
 
     Tokens are interned to consecutive PageIds in order of first appearance.
-    The text is split into lines `PLAIN_BLOCK` characters at a time, so no
-    list holds every line. A block cut inside a line carries that line on to
-    the next block; one cut between the CR and LF of a CRLF leaves the next
-    block a blank first line, which is skipped.
+    The text is read in `_line_blocks`, with C-level passes over each block.
     """
     ids: dict[str, PageId] = {}
     pages: list[PageId] = []
-    carry = ""
-    for start in range(0, len(text), PLAIN_BLOCK):
-        end = start + PLAIN_BLOCK
-        block = carry + text[start:end]
-        lines = block.splitlines()
-        carry = lines.pop() if end < len(text) and text[end - 1] not in _LINE_BREAKS else ""
+    comments = "#" in text
+    for lines in _line_blocks(text):
         tokens = list(filter(None, map(str.strip, lines)))
-        if "#" in block:
+        if comments:
             tokens = list(filterfalse(methodcaller("startswith", "#"), tokens))
         new = filterfalse(ids.__contains__, dict.fromkeys(tokens))
         ids.update(zip(new, count(len(ids))))
@@ -158,18 +173,28 @@ def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Tra
     """Split a BrightKite-style check-in dump into per-user location traces.
 
     Expects five tab-separated columns per line: user, check-in time, latitude,
-    longitude, location id. Check-ins are ordered chronologically per user and
-    the location id becomes the page. Users with fewer than twice
-    ``cache_size`` distinct locations are dropped.
+    longitude, location id. Check-ins are ordered chronologically per user
+    (ties keep file order) and the location id becomes the page. Users with
+    fewer than twice ``cache_size`` distinct locations are dropped.
+
+    The text is read in `_line_blocks`. Each user keeps two columns, its
+    stripped timestamps and its location strings, and each location string
+    is held once per dump: no tuple per check-in, no list of every line.
     """
-    by_user: dict[str, list[tuple[str, str]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    columns: dict[str, tuple[list[str], list[str]]] = {}
+    places: dict[str, str] = {}
+    for lineno, raw in enumerate(chain.from_iterable(_line_blocks(text)), 1):
         cols = raw.split("\t")
         if len(cols) == 5:
             user, ts, _lat, _lon, loc = cols
             user, loc = user.strip(), loc.strip()
             if user and loc:
-                by_user.setdefault(user, []).append((ts.strip(), loc))
+                try:
+                    times, locs = columns[user]
+                except KeyError:
+                    times, locs = columns[user] = ([], [])
+                times.append(ts.strip())
+                locs.append(places.setdefault(loc, loc))
                 continue
         if not raw.strip():
             continue
@@ -180,16 +205,15 @@ def ingest_brightkite(text: str, *, cache_size: int = 10) -> list[tuple[str, Tra
         if not loc:
             raise ValueError(f"line {lineno}: missing location id")
         raise ValueError(f"line {lineno}: missing user id")
-    if not by_user:
+    if not columns:
         raise ValueError("empty trace")
     out: list[tuple[str, Trace]] = []
-    by_time, location = itemgetter(0), itemgetter(1)
-    for user, rows in by_user.items():
-        rows.sort(key=by_time)  # timestamps are ISO-like; lexicographic == chronological
-        locs = list(map(location, rows))
+    for user, (times, locs) in columns.items():
         if len(set(locs)) < 2 * cache_size:
             continue
-        out.append((user, Trace(_intern(locs))))
+        # timestamps are ISO-like: lexicographic == chronological; sorted is stable
+        order = sorted(range(len(times)), key=times.__getitem__)
+        out.append((user, Trace(_intern(list(map(locs.__getitem__, order))))))
     return out
 
 
@@ -232,7 +256,8 @@ _ADDR_LINES = 2 * 1024 * 1024 // _ADDR_LINE_BYTES  # lines of a 2 MiB cache
 
 def ingest_address_trace(text: str, ways: int) -> dict[int, Trace]:
     """Map raw memory addresses onto the sets of a 2 MiB, ``ways``-way cache
-    with 64-byte lines; one independent trace per set.
+    with 64-byte lines; one independent trace per set, keyed in ascending
+    set order.
 
     Addresses are hex (``0x`` prefix) or decimal, one per line. The page is the
     line address ``addr // 64``; its set is ``line_address % num_sets``, with
@@ -242,7 +267,7 @@ def ingest_address_trace(text: str, ways: int) -> dict[int, Trace]:
         raise ValueError(f"ways must be a positive divisor of {_ADDR_LINES} lines, got {ways}")
     num_sets = _ADDR_LINES // ways
     per_set: dict[int, list[int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(chain.from_iterable(_line_blocks(text)), 1):
         tok = raw.strip()
         if not tok or tok.startswith("#"):
             continue

@@ -164,6 +164,28 @@ def loop_ingest_brightkite(text: str, cache_size: int) -> list[tuple[str, list[i
     return out
 
 
+def loop_ingest_address_trace(text: str, ways: int) -> list[tuple[int, list[int]]]:
+    """The address reader line by line: (set, pages) per set in ascending set
+    order, or the ValueError it raises. Takes a `ways` that divides the 32,768
+    lines of the 2 MiB cache."""
+    num_sets = 32768 // ways
+    per_set: dict[int, list[int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tok = raw.strip()
+        if not tok or tok.startswith("#"):
+            continue
+        try:
+            addr = int(tok, 16) if tok.lower().startswith("0x") else int(tok)
+        except ValueError:
+            raise ValueError(f"line {lineno}: unparsable address {tok!r}") from None
+        if addr < 0:
+            raise ValueError(f"line {lineno}: negative address {tok!r}")
+        per_set.setdefault(addr // 64 % num_sets, []).append(addr // 64)
+    if not per_set:
+        raise ValueError("empty trace")
+    return sorted(per_set.items())
+
+
 def lru_misses(pages: list[int], k: int) -> int:
     """Plain LRU simulation on a list-backed cache."""
     cache: list[int] = []

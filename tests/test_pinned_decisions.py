@@ -109,17 +109,27 @@ def test_results_match_pinned_values(spec, pinned):
 def test_fitf_bundle_keeps_its_generator_alive(spec, pinned):
     """A FITF bundle draws from its own stream, which makes the bit
     generator it reads at the first query and holds it. Nothing else refers
-    to that generator, so collect what can be collected and build other
-    Generators before the replay: the bundle's answers must not change."""
+    to that generator, so after each run's first query collect what can be
+    collected and build other Generators: the bundle's answers must not
+    change."""
     decoys = []
 
     def collected_bundle(kind, trace, k, seed):
         bundle = _bundle(kind, trace, k, seed)
-        gc.collect()
-        decoys.extend(np.random.default_rng(10_000 + seed + j) for j in range(8))
+        choice = bundle.fitf_choice
+
+        def first_query(ctx):
+            answer = choice(ctx)
+            bundle.fitf_choice = choice  # later queries go to the bundle directly
+            gc.collect()
+            decoys.extend(np.random.default_rng(10_000 + seed + j) for j in range(8))
+            return answer
+
+        bundle.fitf_choice = first_query
         return bundle
 
     assert replay_spec(spec, collected_bundle) == pinned[spec]
+    assert decoys  # some run queried its bundle
 
 
 if __name__ == "__main__":

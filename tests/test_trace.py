@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from cachesim import trace as trace_module
 from .reference_impls import (
     cyclic_trace,
     last_occurrence_at_or_before,
+    loop_ingest_address_trace,
     loop_ingest_brightkite,
     loop_next_occurrence,
     loop_parse_plain_trace,
@@ -169,6 +171,14 @@ def test_plain_reader_blocks_cut_lines_anywhere(text, block):
     assert got.pages == expected
 
 
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(PLAIN_PIECES), max_size=80).map("".join), st.integers(1, 8))
+def test_line_blocks_join_to_splitlines(text, block):
+    with mock.patch.object(trace_module, "PLAIN_BLOCK", block):
+        blocks = list(trace_module._line_blocks(text))
+    assert [line for lines in blocks for line in lines] == text.splitlines()
+
 # check-in fields: padded users and locations, timestamps that tie once
 # stripped (so that file order must break the tie), and a few lines that are
 # blank, short of a user or a location, or of the wrong width
@@ -202,6 +212,43 @@ def test_brightkite_reader_matches_the_line_loop(lines, odd, newline, cache_size
     for _user, tr in got:
         assert tr.next_occurrence == array("q", loop_next_occurrence(tr.pages))
 
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(checkin_line, max_size=12),
+       st.lists(st.tuples(st.integers(0, 12), odd_line), max_size=2),
+       st.sampled_from(["\n", "\r\n", "\r", "\u2028"]), st.integers(0, 2), st.integers(1, 8))
+def test_brightkite_reader_blocks_cut_lines_anywhere(lines, odd, newline, cache_size, block):
+    # blocks of a few characters cut fields and CRLF pairs in two; the line
+    # numbers of errors must still count the lines of the whole text
+    for at, line in odd:
+        lines.insert(at, line)
+    text = newline.join(lines)
+    expected = _outcome(loop_ingest_brightkite, text, cache_size)
+    with mock.patch.object(trace_module, "PLAIN_BLOCK", block):
+        got = _outcome(ingest_brightkite, text, cache_size=cache_size)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert [(user, tr.pages) for user, tr in got] == expected
+
+
+def test_brightkite_reader_memory_per_row():
+    # the reader keeps a timestamp string and a shared location string per
+    # check-in: about 120 bytes a row at its peak on this dump, where a list
+    # of every line and a tuple per check-in took about 290
+    rows = 20_000
+    text = "".join(f"u{i % 97:03d}\t2010-{i * 7919 % 10**9:012d}Z\t39.7476\t-104.9925\t"
+                   f"loc{i * 31 % 3001:05d}\n" for i in range(rows))
+    ingest_brightkite(text, cache_size=10)  # numpy's first sort allocates once
+    tracemalloc.start()
+    try:
+        pairs = ingest_brightkite(text, cache_size=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, (tr for _, tr in pairs))) == rows
+    assert peak / rows < 180, f"{peak / rows:.0f} bytes per row"
 
 def test_brightkite_threshold_and_order():
     text = (DATA / "brightkite_sample.tsv").read_text()
@@ -291,6 +338,23 @@ def test_address_trace_set_mapping():
     with pytest.raises(ValueError, match="line 1"):
         ingest_address_trace("-4\n", 16)
 
+
+
+ADDRESS_PIECES = ["0x40", "0X1000", "0xfff", "64", "131072", "0", "1_0", "-4", "zz", "0x",
+                  "#c", "# 64", " ", "\t", "\n", "\r\n", "\r", "\x85", "\u2028"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(ADDRESS_PIECES), max_size=60).map("".join),
+       st.sampled_from([1, 16, 32768]), st.integers(1, 8))
+def test_address_reader_blocks_cut_lines_anywhere(text, ways, block):
+    expected = _outcome(loop_ingest_address_trace, text, ways)
+    with mock.patch.object(trace_module, "PLAIN_BLOCK", block):
+        got = _outcome(ingest_address_trace, text, ways)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert [(s, tr.pages) for s, tr in got.items()] == expected
 
 def test_address_fixture_sets():
     sets = ingest_address_trace((DATA / "addr_sample.txt").read_text(), 16)
