@@ -74,7 +74,7 @@ class GuardPolicy(Policy):
     (b) if the missed page was evicted earlier this phase, the victim is a
         uniform draw from `unrequested` and the page becomes guarded;
     (c) otherwise the base policy picks the victim among unguarded pages:
-        the guarded set is handed to it as the context's `excluded` pages.
+        each phase reset hands the guarded set over as `ctx.excluded`.
 
     Structural invariants (checked at each eviction, violations raise):
     guarded pages are never evicted mid-phase, the guarded set stays disjoint
@@ -95,7 +95,9 @@ class GuardPolicy(Policy):
     `_loads` counts the loads this phase of each new page (one outside the
     snapshot). A new page is cached only after a miss this phase, so its
     keys are exactly the new pages requested this phase, and a phase's c_q
-    is the number of its keys.
+    is the number of its keys. Phase 0 keeps none: it ends at the first
+    eviction, when every cached page has been loaded exactly once, so its
+    c_q is the size of the cache then.
     """
 
     def __init__(self, base: Policy):
@@ -138,20 +140,16 @@ class GuardPolicy(Policy):
         # Catch up with the hits since the previous eviction (none when that
         # was the previous request): each page touched for the first time
         # this phase leaves `unrequested` in request order, as on its hit.
-        # Before the first eviction (phase 0) they are cold fills and hits on
-        # them, so each distinct page was loaded once.
-        if now - 1 > seen:
-            if items:
-                for p in filter(pos.__contains__, self._pages[seen:now - 1]):
-                    idx = pos.pop(p)
-                    last = items.pop()
-                    if idx < len(items):
-                        items[idx] = last
-                        pos[last] = idx
-            elif not self.phase:
-                self._loads.update(dict.fromkeys(self._pages[seen:now - 1], 1))
+        if items and now - 1 > seen:
+            for p in filter(pos.__contains__, self._pages[seen:now - 1]):
+                idx = pos.pop(p)
+                last = items.pop()
+                if idx < len(items):
+                    items[idx] = last
+                    pos[last] = idx
         if not items:  # a new phase; `pos` is as empty as `items`
-            self._closed.append((self.phase, len(self._loads), self._n, self._o,
+            c_q = len(self._loads) if self.phase else len(ctx.cached)
+            self._closed.append((self.phase, c_q, self._n, self._o,
                                  self._n_new, self._n_old))
             self.old_pages = set(ctx.cached)
             items.extend(ctx.cached)
@@ -160,6 +158,7 @@ class GuardPolicy(Policy):
                 pos[p] = i
                 i += 1
             self.guarded.clear()
+            ctx.excluded = self.guarded
             self.evicted_this_phase.clear()
             self._loads.clear()
             self._n = self._o = self._n_new = self._n_old = 0
@@ -187,19 +186,11 @@ class GuardPolicy(Policy):
                     f"snapshot page {page!r} missed at t={now} in phase "
                     f"{self.phase} without having been evicted this phase"
                 )
-            if guarded:
-                saved = ctx.excluded
-                ctx.excluded = saved | guarded if saved else guarded
-                try:
-                    victim = self.base.choose_victim(ctx, rng)
-                finally:
-                    ctx.excluded = saved
-                if victim in guarded:
-                    raise InvariantViolation(
-                        f"base policy {self.base.name!r} chose guarded page {victim!r}"
-                    )
-            else:
-                victim = self.base.choose_victim(ctx, rng)
+            victim = self.base.choose_victim(ctx, rng)
+            if victim in guarded:
+                raise InvariantViolation(
+                    f"base policy {self.base.name!r} chose guarded page {victim!r}"
+                )
         idx = pos.pop(victim, None)
         if idx is not None:
             last = items.pop()

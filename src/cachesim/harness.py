@@ -77,17 +77,14 @@ class ExperimentConfig:
         check_k(k)
         return k
 
-    def validate(self) -> None:
-        self.resolved_k()
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
-        build_policy(self.policy)  # raises on unknown policy specs
-        predictor_points(self.pred, self.sweep)  # raises on unknown or bad parameters
-
 
 def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
     """Read the configured source into labelled sub-traces."""
-    k = config.resolved_k()  # also rejects an unknown format
+    return _read_traces(config, config.resolved_k())  # also rejects an unknown format
+
+
+def _read_traces(config: ExperimentConfig, k: int) -> list[tuple[str, Trace]]:
+    """`load_traces` with the cache size already resolved."""
     text = Path(config.trace).read_text(encoding="utf-8-sig")
     fmt = config.format
     if fmt == "plain":
@@ -293,11 +290,14 @@ def run(config: ExperimentConfig) -> RunTable:
     With `config.assert_invariants`, any guarded run whose phase counters
     break their inequalities raises `InvariantViolation`.
     """
-    config.validate()
-    traces = load_traces(config)
+    # every check of the config comes before the trace is read
     k = config.resolved_k()
+    if not config.seeds:
+        raise ValueError("seeds must be nonempty")
+    build_policy(config.policy)  # raises on unknown policy specs
     pred_name, points = predictor_points(config.pred, config.sweep)
     predictor = _PREDICTORS[pred_name]
+    traces = _read_traces(config, k)
 
     rows: list[dict] = []
     sections: list[str] = []

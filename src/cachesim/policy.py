@@ -4,20 +4,20 @@ A policy sees every request through `on_request` (if it asks for the hook) and
 is consulted through `choose_victim` whenever a miss hits a full cache. A
 policy records the eviction it chooses inside `choose_victim`; the engine
 gives no separate notice, and no wrapper sends one in its base's place: no
-package code calls `on_evict`. One
-engine, `EvictionContext`, replays every run: `simulate` drives one over the
-whole trace, and each switching combiner drives one per sub-policy, a request
-at a time. The engine owns the cache set and per-page recency, from which a
-policy reads the prediction attached to each page at its most recent request,
-and it is itself the context that `choose_victim` receives. A policy may
-evict any cached page outside the context's `excluded` set; the guard passes
-its shielded pages there. A policy that evicts the page with the largest
-value attached at its last request (`blind_oracle`, `belady`, and `fitf` for
-its true furthest page) names those values in `victim_order` and takes its
-victim from `furthest`, which skips excluded pages. Above `SCAN_K` slots the
-engine keeps a heap of those values and `furthest` pops it in O(log k); up
-to `SCAN_K` it keeps none, and `furthest` scans the candidates once, in
-O(k). Every other policy scans `candidates`.
+package code calls `on_evict`. One engine, `EvictionContext`, replays every
+run: `simulate` drives one over the whole trace, and each switching combiner
+drives one per sub-policy, a request at a time. The engine owns the cache set
+and per-page recency, from which a policy reads the prediction attached to
+each page at its most recent request, and it is itself the context that
+`choose_victim` receives. A policy may evict any cached page outside the
+context's `excluded` set, which the guard sets to its shield set. A policy
+that evicts the page with the largest value attached at its last request
+(`blind_oracle`, `belady`, and `fitf` for its true furthest page) names those
+values in `victim_order` and takes its victim from `furthest`, which skips
+excluded pages. Above `SCAN_K` slots the engine keeps a heap of those values
+and `furthest` pops it in O(log k); up to `SCAN_K` it keeps none, and
+`furthest` scans the candidates once, in O(k). Every other policy scans
+`candidates`.
 
 The `rng` that `begin_run` and `choose_victim` receive is the run's
 `DrawStream`, the one the engine is given (a combiner hands its own engine's
@@ -38,9 +38,20 @@ from itertools import repeat
 from typing import Sequence
 
 from .draws import DrawStream
-from .oracle import SCAN_K, check_k, opt_cost
+from .oracle import check_k, opt_cost
 from .predict import PredictionBundle, PredictionKind
 from .trace import PageId, Trace
+
+# The largest cache size at which the replay engine's value-ordered victims
+# (`EvictionContext.furthest` for `blind_oracle`, `belady` and `fitf`'s truth)
+# come from one O(k) scan of the cache on each eviction instead of an
+# O(log k) heap that takes one push per request. Scan time over heap time,
+# replaying 3,000-request uniform and bursty traces over k+1 to 2k pages:
+# raw `blind_oracle` under inverted predictions, which evicts on almost every
+# request, reads 0.66-0.72 at k = 2 and 0.95-1.02 at k = 5, then loses from
+# k = 6 (1.02-1.12, and 1.35-1.48 at k = 10). Guarded and FITF regimes read
+# 0.72-0.98 at every k up to 10.
+SCAN_K = 5
 
 
 class ContractViolation(RuntimeError):
@@ -56,9 +67,8 @@ class EvictionContext:
     `candidates` (the cached pages outside `excluded`), `predictions` (the
     bundle) and `last_used` (each page's most recent request index, so the
     prediction attached to page p is the bundle's value at `last_used[p] - 1`).
-    These are the engine's live state: policies only read them, except that a
-    wrapper may set `excluded` for a delegated call and restores it before
-    returning.
+    These are the engine's live state: policies only read them, except that
+    the guard sets `excluded` to its shield set.
 
     When the policy names a `victim_order`, each request i has one integer
     key, `i - value * (n + 2)`. Since 1 <= i <= n, keys order exactly like
@@ -328,8 +338,7 @@ class LRBFollowerPolicy(Policy):
 class FitFFollowerPolicy(Policy):
     """Delegates each eviction to a furthest-in-the-future choice function,
     which takes the true furthest page from `EvictionContext.furthest` over
-    next request times: a heap pop above `SCAN_K` slots, one scan of the
-    candidates up to it."""
+    next request times."""
 
     name = "fitf"
     requires = PredictionKind.FITF
@@ -386,8 +395,9 @@ class _CombinerBase(Policy):
         self._advance(ctx.now)
         self._select_active(rng)
         lane = self.lanes[self.active]
-        if lane.last_evict_t == ctx.now and lane.last_evict_victim in ctx.candidates:
-            return lane.last_evict_victim
+        victim = lane.last_evict_victim
+        if lane.last_evict_t == ctx.now and victim in ctx.cached and victim not in ctx.excluded:
+            return victim
         return min(ctx.candidates, key=ctx.last_used.__getitem__)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .draws import DrawStream
 from .oracle import belady_labels, belady_simulate
-from .trace import PageId, Trace
+from .trace import PageId, Trace, whole_number
 
 if TYPE_CHECKING:
     from .policy import EvictionContext
@@ -309,7 +309,7 @@ def save_bundle_csv(bundle: PredictionBundle, path: str | Path) -> None:
 
 def load_bundle_csv(path: str | Path) -> PredictionBundle:
     """Read a bundle written by `save_bundle_csv`; the header names the kind.
-    A value may be written as a float (`7.0`) but must be whole."""
+    Values are read exactly by `whole_number` (`7.0` is 7)."""
     rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8-sig"))))
     if not rows:
         raise ValueError("empty bundle file")
@@ -327,14 +327,12 @@ def load_bundle_csv(path: str | Path) -> PredictionBundle:
         if len(row) != 2:
             raise ValueError(f"row {rownum}: expected 2 fields")
         try:
-            idx, val = int(row[0]), float(row[1])
-            if not val.is_integer():  # a fraction, or not finite
-                raise ValueError
+            idx, val = int(row[0]), whole_number(row[1])
         except ValueError:
             raise ValueError(f"row {rownum}: expected an index and a whole number") from None
         if idx != len(values) + 1:
             raise ValueError(f"row {rownum}: indices must be consecutive from 1")
-        values.append(int(val))
+        values.append(val)
     if kind is PredictionKind.NRT:
         return PredictionBundle(kind, nrt=values)
     return PredictionBundle(kind, labels=values)

@@ -101,9 +101,10 @@ def test_csv_predictor_source(plain_trace, tmp_path):
     assert table.rows[0]["ratio"] == 1.0
 
 
-def test_csv_predictor_without_path_is_an_input_error(plain_trace, capsys):
+def test_csv_predictor_without_path_is_an_input_error(tmp_path, capsys):
+    # refused before the trace, which does not exist, is read
     with pytest.raises(ValueError, match="path"):
-        ExperimentConfig(trace=plain_trace, pred="csv").validate()
+        run(ExperimentConfig(trace=tmp_path / "missing.txt", pred="csv"))
     assert cli.main(["--trace", str(DATA / "addr_sample.txt"), "--pred", "csv"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "'path'" in captured.err
@@ -283,20 +284,24 @@ BAD_PREDICTORS = [
 
 
 def test_config_validation(plain_trace, tmp_path):
-    # a bad predictor is rejected before the trace, which does not exist, is read
+    # every bad setting is refused before the trace, which does not exist, is
+    # read: reading it first would raise FileNotFoundError, not ValueError
+    missing = tmp_path / "missing.txt"
     for pred, sweep, match in BAD_PREDICTORS:
         with pytest.raises(ValueError, match=match):
-            ExperimentConfig(trace=tmp_path / "missing.txt", pred=pred, sweep=sweep).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(trace=plain_trace, format="exotic").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(trace=plain_trace, k=0).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(trace=plain_trace, seeds=[]).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(trace=plain_trace, policy="made_up").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(trace=plain_trace, pred="made_up").validate()
+            run(ExperimentConfig(trace=missing, pred=pred, sweep=sweep))
+    with pytest.raises(ValueError, match="unknown trace format"):
+        run(ExperimentConfig(trace=missing, format="exotic"))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        run(ExperimentConfig(trace=missing, k=0))
+    with pytest.raises(ValueError, match="seeds must be nonempty"):
+        run(ExperimentConfig(trace=missing, seeds=[]))
+    with pytest.raises(ValueError, match="unknown policy spec"):
+        run(ExperimentConfig(trace=missing, policy="made_up"))
+    with pytest.raises(ValueError, match="unknown predictor"):
+        run(ExperimentConfig(trace=missing, pred="made_up"))
+    with pytest.raises(FileNotFoundError):
+        run(ExperimentConfig(trace=missing))
     assert ExperimentConfig(trace=plain_trace, format="citi").resolved_k() == 100
 
 

@@ -24,6 +24,7 @@ from cachesim import (
 )
 from cachesim.guard import GuardPolicy
 from cachesim.policy import (
+    SCAN_K,
     BeladyPolicy,
     BlindOraclePolicy,
     LRBFollowerPolicy,
@@ -32,7 +33,6 @@ from cachesim.policy import (
     SwitchDeterministicPolicy,
     SwitchRandomizedPolicy,
 )
-from cachesim.oracle import SCAN_K
 from cachesim.predict import PredictionKind
 from .reference_impls import lru_misses, random_trace
 

@@ -280,6 +280,16 @@ def test_bundle_csv_reads_whole_values_written_as_floats(tmp_path):
     assert load_bundle_csv(path).nrt == [2, 4, 5]
 
 
+def test_bundle_csv_keeps_whole_numbers_past_2_53_exact(tmp_path):
+    # read through `float`, 2**53 + 1 came back as 2**53 and 10**20 + 1 as 10**20
+    values = [2**53 + 1, 5, 10**20 + 1]
+    path = tmp_path / "preds.csv"
+    save_bundle_csv(PredictionBundle(PredictionKind.NRT, nrt=values), path)
+    assert load_bundle_csv(path).nrt == values
+    path.write_text("index,predicted_nrt\n1,9007199254740993.0\n2,1e20\n")
+    assert load_bundle_csv(path).nrt == [2**53 + 1, 10**20]
+
+
 def test_bundle_csv_may_start_with_a_byte_order_mark(tmp_path):
     # before, the header read as ['\ufeffindex', 'predicted_nrt'] and was refused
     path = tmp_path / "preds.csv"

@@ -317,6 +317,14 @@ def test_citibike_reads_whole_station_ids_written_as_floats():
     assert tr.pages == [205, 205, 100]
 
 
+def test_citibike_keeps_station_ids_past_2_53_apart():
+    # read through `float`, both ids became 2**53 and merged into one page
+    tr = ingest_citibike("tripduration,start station id\n"
+                         "60,9007199254740993\n61,9007199254740992\n62,9007199254740993.0\n")
+    assert tr.pages == [2**53 + 1, 2**53, 2**53 + 1]
+    assert tr.universe_size == 2
+
+
 def test_set_associative_geometry():
     # 2 MiB of 64-byte lines is 32768 lines: 2048 sets at 16 ways, 32768 at 1
     far = 32768 * 64  # byte address of line 32768

@@ -2,11 +2,12 @@
 
 `blind_oracle`, `belady` and `fitf` (for its truth) pick their victims from
 a lazy-deletion heap above `SCAN_K` slots and by one scan of the cache's heap
-keys up to it, `belady_simulate` does the same with its own cutover
-`OPT_SCAN_K`, `lrb` reads the label attached at
-each page's last request through `last_used`, `lru` takes the least recent
-page from the engine's `last_used`, and `marker` reads its marks from
-`last_used` and the request index of its last clear. On random traces with perfect, inverted and noisy predictions,
+keys up to it, `belady_simulate` pops its own lazy-deletion heap at every
+cache size, `lrb` reads the label attached at each page's last request
+through `last_used`, `lru` takes the least recent page from the engine's
+`last_used`, and `marker` reads its marks from `last_used` and the request
+index of its last clear. On random traces with perfect, inverted and noisy
+predictions,
 every eviction (request index and victim) of these policies, bare and under
 `guard:`, must equal that of the reference in `reference_impls.py`: a scan,
 a recency list kept by a request hook, or a `marker` that unmarks in an
@@ -17,6 +18,8 @@ those of the bisect reference, truth for truth. The engine's countdown to
 the heap's next rebuild must rebuild at the same requests as the engine that
 compares the heap's length with its limit on every request, bare, under
 `guard:` and in combiner lanes; up to `SCAN_K` no engine keeps a heap.
+Counted, each heap pops no more entries than its pushes and rebuilds put in,
+and its rebuilds put in at most a third of what its pushes do.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cachesim.oracle
 import cachesim.policy
 from cachesim import (
     ContractViolation,
@@ -41,8 +45,8 @@ from cachesim import (
     synthetic_nrt,
 )
 from cachesim.draws import DrawStream
-from cachesim.oracle import OPT_SCAN_K, SCAN_K, belady_simulate
-from cachesim.policy import BlindOraclePolicy, EvictionContext
+from cachesim.oracle import belady_simulate
+from cachesim.policy import SCAN_K, BlindOraclePolicy, EvictionContext
 from cachesim.predict import PredictionBundle, PredictionKind
 from .reference_impls import (
     DictLRBPolicy,
@@ -118,7 +122,7 @@ def check_against_reference(trace, k, regime, seed):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 3000),
-    k=st.sampled_from((1, 2, 3, SCAN_K, SCAN_K + 1, OPT_SCAN_K, OPT_SCAN_K + 1, 17, 100)),
+    k=st.sampled_from((1, 2, 3, SCAN_K, SCAN_K + 1, 10, 11, 17, 100)),
     spread=st.integers(0, 100),
     regime=st.sampled_from(sorted(REGIMES)),
 )
@@ -274,3 +278,55 @@ def test_small_caches_keep_no_heap(spec, k):
     engines = list(heap_engines(engine))
     assert got
     assert [(e._heap, e.rebuilds) for e in engines] == [(None, 0)] * len(engines)
+
+
+@contextmanager
+def counted_heaps(module):
+    """Count the heap work of `module`: pushes, pops, and the entries each
+    rebuild's `heapify` puts in."""
+    counts = {"push": 0, "pop": 0, "rebuilt": 0}
+    push, pop, heapify = module.heappush, module.heappop, module.heapify
+
+    def counting_push(heap, key):
+        counts["push"] += 1
+        push(heap, key)
+
+    def counting_pop(heap):
+        counts["pop"] += 1
+        return pop(heap)
+
+    def counting_heapify(heap):
+        counts["rebuilt"] += len(heap)
+        heapify(heap)
+
+    with mock.patch.multiple(module, heappush=counting_push, heappop=counting_pop,
+                             heapify=counting_heapify):
+        yield counts
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 10, 100))
+def test_victim_heaps_do_amortised_constant_work_per_request(k):
+    # A pop takes out an entry that a push or a rebuild put in, and a rebuild
+    # of at most k entries follows at least 3k + 1 pushes: so a run of n
+    # requests pops at most n + n / 3 entries however many pages are dead.
+    trace = random_trace(np.random.default_rng(k), 3000, k + 1 + k // 2)
+    n = len(trace)
+    with counted_heaps(cachesim.oracle) as opt:
+        out = belady_simulate(trace, k)
+    evictions = out.misses - min(k, trace.universe_size)
+    assert opt["push"] == n
+    assert evictions <= opt["pop"] <= opt["push"] + opt["rebuilt"]
+    assert 3 * opt["rebuilt"] <= opt["push"]
+    for spec, bundle in (("guard:blind_oracle", inverted_nrt(trace)), ("belady", None),
+                         ("guard:fitf", noisy_fitf(trace, k, 0.5, seed=k))):
+        with counted_heaps(cachesim.policy) as engine:
+            result = cachesim.policy.simulate(build_policy(spec), trace, k, bundle,
+                                              compute_opt=False)
+        if k <= SCAN_K:  # no heap: the engine scans the candidates
+            assert engine == {"push": 0, "pop": 0, "rebuilt": 0}, spec
+            continue
+        # every request pushes its key, and `furthest` pushes back the live
+        # shielded keys it popped; it leaves the victim's key on top, dead
+        assert engine["push"] >= n and result.misses > k
+        assert 0 < engine["pop"] <= engine["push"] + engine["rebuilt"]
+        assert 3 * engine["rebuilt"] <= engine["push"]
