@@ -118,6 +118,7 @@ class GuardPolicy(Policy):
     def begin_run(self, trace, k, bundle, rng):
         self.base.begin_run(trace, k, bundle, rng)
         self._pages = trace.pages
+        self._universe = trace.universe_size  # c_q of a run that stays in phase 0
         self._seen = 0  # requests accounted for
         self.unrequested: list[PageId] = []
         self._pos: dict[PageId, int] = {}  # page -> its index in `unrequested`
@@ -223,7 +224,7 @@ class GuardPolicy(Policy):
         """All phases including the still-open final one. Read it once the
         whole trace has been served: a run still in phase 0 never evicted,
         so its c_q counts every distinct page of the trace."""
-        c_q = len(self._loads) if self.phase else len(set(self._pages))
+        c_q = len(self._loads) if self.phase else self._universe
         current = (self.phase, c_q, self._n, self._o, self._n_new, self._n_old)
         return [PhaseStats(*ph) for ph in self._closed + [current]]
 

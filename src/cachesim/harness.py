@@ -296,6 +296,9 @@ def run(config: ExperimentConfig) -> RunTable:
         raise ValueError("seeds must be nonempty")
     build_policy(config.policy)  # raises on unknown policy specs
     pred_name, points = predictor_points(config.pred, config.sweep)
+    if pred_name == "csv" and config.format in ("brightkite", "addr"):
+        raise ValueError(f"the {config.format!r} format splits into sub-traces: one csv "
+                         "prediction file cannot fit them all")
     predictor = _PREDICTORS[pred_name]
     traces = _read_traces(config, k)
 

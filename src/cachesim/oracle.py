@@ -9,8 +9,8 @@ later dropped before its next use ("1-page"); requests whose page survives
 in cache until its next request (or the end) are 0-pages.
 
 The victim comes from a lazy-deletion heap of the cached pages' keys (see
-`belady_simulate`) at every cache size. The labels of one run are a
-`bytearray` with one byte a request.
+`belady_simulate`) at every cache size. The labels of one run are an
+immutable `bytes` with one byte a request.
 
 `opt_cost` and `belady_labels` share one `belady_simulate` run per
 (trace, k): its miss count and its labels are kept on the trace.
@@ -36,11 +36,11 @@ def check_k(k: int) -> None:
 
 @dataclass
 class BeladyOutcome:
-    """Result of one offline-optimal simulation: the miss count and a
-    `bytearray` of labels, one 0/1 byte a request."""
+    """Result of one offline-optimal simulation: the miss count and the
+    labels, one 0/1 byte a request."""
 
     misses: int
-    labels: bytearray  # per-request 1-page / 0-page flags
+    labels: bytes  # per-request 1-page / 0-page flags
 
 
 def belady_simulate(trace: Trace, k: int) -> BeladyOutcome:
@@ -81,16 +81,16 @@ def belady_simulate(trace: Trace, k: int) -> BeladyOutcome:
         if len(heap) > limit:
             heap = list(cache.values())
             heapify(heap)
-    return BeladyOutcome(misses, labels)
+    return BeladyOutcome(misses, bytes(labels))
 
 
 def _optimum(trace: Trace, k: int) -> tuple[int, bytes]:
     """Miss count and labels of the optimum, from one `belady_simulate` run
-    per (trace, k), kept on the trace; the labels as immutable `bytes`."""
+    per (trace, k), kept on the trace."""
     optimum = trace._optima.get(k)
     if optimum is None:
         out = belady_simulate(trace, k)
-        optimum = trace._optima[k] = (out.misses, bytes(out.labels))
+        optimum = trace._optima[k] = (out.misses, out.labels)
     return optimum
 
 
@@ -99,10 +99,7 @@ def opt_cost(trace: Trace, k: int) -> int:
     return _optimum(trace, k)[0]
 
 
-def belady_labels(trace: Trace, k: int) -> bytearray:
-    """Per-request binary eviction labels of the offline optimum, one byte each.
-
-    Every call returns a fresh `bytearray`, so no caller can change the
-    labels another caller sees.
-    """
-    return bytearray(_optimum(trace, k)[1])
+def belady_labels(trace: Trace, k: int) -> bytes:
+    """Per-request binary eviction labels of the offline optimum, one byte
+    each: the `bytes` kept on the trace, the same object on every call."""
+    return _optimum(trace, k)[1]

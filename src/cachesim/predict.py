@@ -4,15 +4,14 @@ A bundle carries one prediction stream for a whole trace. Three kinds exist:
 per-request next-request-time estimates (NRT), per-request binary eviction
 labels, and a furthest-in-the-future choice function (FITF) that a `fitf`
 replay queries at each eviction. Bundles are built deterministically from
-(trace, parameters, seed). `perfect_nrt` returns its values as an int64
-`array('q')` and `perfect_labels` as a `bytearray`; the other builders return
-lists of ints.
+(trace, parameters, seed). Labels are an immutable `bytes` of 0/1, one byte a
+request. `perfect_nrt` returns its values as an int64 `array('q')`, and the
+other NRT builders return lists of ints.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .draws import DrawStream
-from .oracle import belady_labels, belady_simulate
+from .oracle import belady_labels
 from .trace import PageId, Trace, whole_number
 
 if TYPE_CHECKING:
@@ -42,16 +41,16 @@ class PredictionKind(Enum):
 class PredictionBundle:
     """One prediction stream; exactly the payload matching ``kind`` is set.
 
-    `nrt` and `labels` hold one int per request: a list, an int64
-    `array('q')` (`perfect_nrt`) or a `bytearray` of labels
-    (`perfect_labels`). FITF bundles count their queries and how many answers
-    differed from the true furthest-in-the-future page; use one bundle
-    instance per run.
+    `nrt` holds one int per request: a list, or an int64 `array('q')`
+    (`perfect_nrt`). `labels` is a `bytes` of 0/1, one byte a request; any
+    other sequence of 0s and 1s is converted to one. FITF bundles count their
+    queries and how many answers differed from the true furthest-in-the-future
+    page; use one bundle instance per run.
     """
 
     kind: PredictionKind
     nrt: Sequence[int] | None = None
-    labels: Sequence[int] | None = None
+    labels: bytes | None = None
     fitf_choice: Callable[[EvictionContext], PageId] | None = None
     fitf_queries: int = 0
     fitf_wrong: int = 0
@@ -59,8 +58,13 @@ class PredictionBundle:
     def __post_init__(self):
         if self.kind is PredictionKind.NRT and self.nrt is None:
             raise ValueError("NRT bundle needs nrt values")
-        if self.kind is PredictionKind.BINARY and self.labels is None:
-            raise ValueError("binary bundle needs labels")
+        if self.kind is PredictionKind.BINARY and type(self.labels) is not bytes:
+            try:  # element by element: `bytes` of an array copies its raw buffer
+                self.labels = bytes(iter(self.labels))
+            except (TypeError, ValueError):  # None, or not a sequence of small ints
+                raise ValueError("binary bundle needs labels, a sequence of 0s and 1s") from None
+        if self.kind is PredictionKind.BINARY and self.labels.translate(None, b"\0\1"):
+            raise ValueError("binary labels must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def inverted_nrt(trace: Trace) -> PredictionBundle:
 
 
 def perfect_labels(trace: Trace, k: int) -> PredictionBundle:
-    """The offline optimum's own eviction labels."""
+    """The offline optimum's own eviction labels, the `bytes` kept on the trace."""
     return PredictionBundle(PredictionKind.BINARY, labels=belady_labels(trace, k))
 
 
@@ -132,7 +136,7 @@ def flip_labels(trace: Trace, k: int, p_flip: float, seed: int = 0) -> Predictio
         raise ValueError("p_flip must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     flips = rng.random(len(trace)) < p_flip
-    labels = (np.array(belady_labels(trace, k)) ^ flips).tolist()
+    labels = (np.frombuffer(belady_labels(trace, k), np.uint8) ^ flips).tobytes()
     return PredictionBundle(PredictionKind.BINARY, labels=labels)
 
 
@@ -240,19 +244,12 @@ def binary_from_nrt(
             raise ValueError("deriving the default boundary requires k")
         m = max(1, int(len(trace) * 0.1))
         prefix = Trace(trace.pages[:m])
-        out = belady_simulate(prefix, k)
-        gaps = [
-            prefix.next_occurrence[i] - (i + 1)
-            for i, y in enumerate(out.labels)
-            if y
-        ]
-        boundary = float(np.percentile(gaps, 90.0)) if gaps else float(len(trace))
+        ones = np.frombuffer(belady_labels(prefix, k), bool)
+        gaps = (np.asarray(prefix.next_occurrence) - np.arange(1, m + 1))[ones]
+        boundary = float(np.percentile(gaps, 90.0)) if gaps.size else float(len(trace))
     if boundary <= 0:
         raise ValueError("boundary must be positive")
-    labels = [
-        1 if pred - t > boundary else 0
-        for t, pred in enumerate(bundle.nrt, 1)
-    ]
+    labels = bytes(1 if pred - t > boundary else 0 for t, pred in enumerate(bundle.nrt, 1))
     return PredictionBundle(PredictionKind.BINARY, labels=labels)
 
 
@@ -287,8 +284,8 @@ def measure_error(bundle: PredictionBundle, trace: Trace, k: int | None = None) 
     raise ValueError(f"cannot measure errors for bundle kind {bundle.kind}")
 
 
-_NRT_HEADER = ["index", "predicted_nrt"]
-_LABEL_HEADER = ["index", "label"]
+_NRT_HEADER = ("index", "predicted_nrt")
+_LABEL_HEADER = ("index", "label")
 
 
 def save_bundle_csv(bundle: PredictionBundle, path: str | Path) -> None:
@@ -299,40 +296,40 @@ def save_bundle_csv(bundle: PredictionBundle, path: str | Path) -> None:
         header, values = _LABEL_HEADER, bundle.labels
     else:
         raise ValueError("only NRT and binary bundles can be exported")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for i, v in enumerate(values, 1):
-        writer.writerow([i, v])
-    Path(path).write_text(buf.getvalue())
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(enumerate(values, 1))
 
 
 def load_bundle_csv(path: str | Path) -> PredictionBundle:
-    """Read a bundle written by `save_bundle_csv`; the header names the kind.
-    Values are read exactly by `whole_number` (`7.0` is 7)."""
-    rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8-sig"))))
-    if not rows:
-        raise ValueError("empty bundle file")
-    header = [h.strip().lower() for h in rows[0]]
-    if header == _NRT_HEADER:
-        kind = PredictionKind.NRT
-    elif header == _LABEL_HEADER:
-        kind = PredictionKind.BINARY
-    else:
-        raise ValueError(f"unrecognised bundle header {rows[0]!r}")
-    values: list[int] = []
-    for rownum, row in enumerate(rows[1:], 2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"row {rownum}: expected 2 fields")
-        try:
-            idx, val = int(row[0]), whole_number(row[1])
-        except ValueError:
-            raise ValueError(f"row {rownum}: expected an index and a whole number") from None
-        if idx != len(values) + 1:
-            raise ValueError(f"row {rownum}: indices must be consecutive from 1")
-        values.append(val)
+    """Read a bundle written by `save_bundle_csv`, one row at a time; the
+    header names the kind. Values are read exactly by `whole_number` (`7.0`
+    is 7), and a label must be 0 or 1."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        rows = csv.reader(f)
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("empty bundle file")
+        header = tuple(h.strip().lower() for h in first)
+        kind = {_NRT_HEADER: PredictionKind.NRT, _LABEL_HEADER: PredictionKind.BINARY}.get(header)
+        if kind is None:
+            raise ValueError(f"unrecognised bundle header {first!r}")
+        values: list[int] = []
+        for rownum, row in enumerate(rows, 2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"row {rownum}: expected 2 fields")
+            try:
+                idx, val = int(row[0]), whole_number(row[1])
+            except ValueError:
+                raise ValueError(f"row {rownum}: expected an index and a whole number") from None
+            if idx != len(values) + 1:
+                raise ValueError(f"row {rownum}: indices must be consecutive from 1")
+            if kind is PredictionKind.BINARY and val not in (0, 1):
+                raise ValueError(f"row {rownum}: a label must be 0 or 1, got {val}")
+            values.append(val)
     if kind is PredictionKind.NRT:
         return PredictionBundle(kind, nrt=values)
     return PredictionBundle(kind, labels=values)

@@ -81,9 +81,10 @@ def _whole_ints(values: list) -> list[int]:
 def whole_number(text: str) -> int:
     """The whole number `text` spells, read exactly (`205`, `205.0`, `2e2`);
     ValueError for a fraction, a value past float's range or no number."""
-    with suppress(ValueError):
+    try:
         return int(text)
-    from decimal import Decimal, InvalidOperation  # here: it adds 0.35 MiB to peak memory
+    except ValueError:  # not plain digits: the slower exact reading below
+        from decimal import Decimal, InvalidOperation  # here: it adds 0.35 MiB to peak memory
 
     with suppress(InvalidOperation):  # no number, or a signalling NaN
         value = Decimal(text)

@@ -111,6 +111,24 @@ def test_csv_predictor_without_path_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_csv_predictor_on_a_multi_trace_source_is_an_input_error(tmp_path, capsys):
+    # two users of 30 check-ins each and 30 predictions: one file cannot
+    # belong to both sub-traces, so it is refused before the dump is read
+    dump = tmp_path / "checkins.tsv"
+    dump.write_text("".join(f"u{u}\t2010-01-01T00:00:{t:02d}Z\t39.7\t-104.9\tloc{t % 8}\n"
+                            for u in range(2) for t in range(30)))
+    preds = tmp_path / "preds.csv"
+    save_bundle_csv(perfect_nrt(parse_plain_trace("\n".join(map(str, range(30))))), preds)
+    argv = ["--trace", str(dump), "--format", "brightkite", "--k", "3",
+            "--policy", "blind_oracle", "--pred", f"csv:path={preds}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'brightkite'" in err and "sub-traces" in err, err
+    with pytest.raises(ValueError, match="'addr' format splits into sub-traces"):
+        run(ExperimentConfig(trace=DATA / "addr_sample.txt", format="addr",
+                             policy="blind_oracle", pred=f"csv:path={preds}"))
+
+
 def test_brightkite_rows_sum_over_users():
     text = (DATA / "brightkite_sample.tsv").read_text()
     users = ingest_brightkite(text, cache_size=10)

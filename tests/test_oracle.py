@@ -105,12 +105,15 @@ def test_changing_returned_labels_leaves_the_optimum_alone():
     k = 3
     want = belady_simulate(tr, k)
     labels = belady_labels(tr, k)
-    labels[:] = bytes(1 - b for b in labels)
-    perfect_labels(tr, k).labels[0] ^= 1
-    flip_labels(tr, k, 0.5, seed=1).labels[1] ^= 1
+    # the kept labels are immutable `bytes`, handed over uncopied
+    assert type(labels) is bytes and belady_labels(tr, k) is labels
+    assert perfect_labels(tr, k).labels is labels
+    for bundle_labels in (labels, perfect_labels(tr, k).labels,
+                          flip_labels(tr, k, 0.5, seed=1).labels):
+        with pytest.raises(TypeError):
+            bundle_labels[0] ^= 1
     assert opt_cost(tr, k) == want.misses
     assert belady_labels(tr, k) == want.labels
-    assert belady_labels(tr, k) is not belady_labels(tr, k)
     assert perfect_labels(tr, k).labels == want.labels
 
 

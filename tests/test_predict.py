@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cachesim import (
     save_bundle_csv,
     synthetic_nrt,
 )
+from cachesim import cli
 from cachesim.draws import DrawStream
 from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext, FitFFollowerPolicy
@@ -95,23 +98,23 @@ def test_inverted_nrt_reverses_order():
 def test_perfect_labels_match_offline_evictions():
     tr = Trace([0, 1, 2, 1, 0])
     bundle = perfect_labels(tr, 2)
-    assert bundle.labels == belady_labels(tr, 2) == bytearray([1, 0, 1, 0, 0])
-    bundle.labels[0] = 0  # each caller gets its own copy of the trace's labels
-    assert belady_labels(tr, 2) == bytearray([1, 0, 1, 0, 0])
-    assert measure_error(bundle, tr, k=2).eta_b == 1
+    assert bundle.labels is belady_labels(tr, 2) == bytes([1, 0, 1, 0, 0])
+    changed = PredictionBundle(PredictionKind.BINARY, labels=[0, 0, 1, 0, 0])
+    assert belady_labels(tr, 2) == bytes([1, 0, 1, 0, 0])
+    assert measure_error(changed, tr, k=2).eta_b == 1
 
 
 def test_flip_labels_extremes():
     tr = Trace([0, 1, 2, 1, 0])
     base = belady_labels(tr, 2)
-    assert flip_labels(tr, 2, 0.0, seed=1).labels == list(base)
-    assert flip_labels(tr, 2, 1.0, seed=1).labels == [1 - b for b in base]
+    assert list(flip_labels(tr, 2, 0.0, seed=1).labels) == list(base)
+    assert list(flip_labels(tr, 2, 1.0, seed=1).labels) == [1 - b for b in base]
 
 
 def test_flip_labels_rate_is_roughly_p():
     tr = Trace(list(range(10)) * 60)
-    base = np.array(belady_labels(tr, 4))
-    flipped = np.array(flip_labels(tr, 4, 0.3, seed=2).labels)
+    base = np.frombuffer(belady_labels(tr, 4), np.uint8)
+    flipped = np.frombuffer(flip_labels(tr, 4, 0.3, seed=2).labels, np.uint8)
     rate = float(np.mean(base != flipped))
     assert 0.2 < rate < 0.4
 
@@ -177,7 +180,7 @@ def test_binary_from_nrt_explicit_boundary():
     tr = Trace([0, 1, 0, 2, 1, 0])
     bundle = binary_from_nrt(perfect_nrt(tr), tr, boundary=2.0)
     # predicted gaps: [2, 3, 3, 3, 2, 1] -> 1 where the gap exceeds 2
-    assert bundle.labels == [0, 1, 1, 1, 0, 0]
+    assert list(bundle.labels) == [0, 1, 1, 1, 0, 0]
     assert bundle.kind is PredictionKind.BINARY
 
 
@@ -223,7 +226,7 @@ def test_flip_labels_and_measure_error_match_generator_formulas(seed, n, k, p_fl
     tr = random_trace(np.random.default_rng(seed), n, k + 3)
     labels = flip_labels(tr, k, p_flip, seed=seed).labels
     want = generator_flip_labels(tr, k, p_flip, seed=seed)
-    assert labels == want and all(type(y) is int for y in labels)
+    assert type(labels) is bytes and list(labels) == want
     for bundle in (PredictionBundle(PredictionKind.BINARY, labels=labels),
                    synthetic_nrt(tr, sigma, seed=seed), inverted_nrt(tr)):
         got, ref = measure_error(bundle, tr, k), generator_measure_error(bundle, tr, k)
@@ -247,7 +250,7 @@ def test_bundle_csv_roundtrip(tmp_path):
 
     lab_path = tmp_path / "labels.csv"
     save_bundle_csv(perfect_labels(tr, 2), lab_path)
-    assert load_bundle_csv(lab_path).labels == list(belady_labels(tr, 2))
+    assert load_bundle_csv(lab_path).labels == belady_labels(tr, 2)
 
 
 def test_bundle_csv_rejects_gaps(tmp_path):
@@ -272,6 +275,20 @@ def test_bundle_csv_rejects_fractional_values(tmp_path, value):
     path.write_text(f"index,predicted_nrt\n1,2\n2,{value}\n")
     with pytest.raises(ValueError, match="row 3.*whole number"):
         load_bundle_csv(path)
+
+
+@pytest.mark.parametrize("value", ["7", "2", "-1"])
+def test_bundle_csv_rejects_labels_that_are_not_0_or_1(tmp_path, value, capsys):
+    # a `7` loaded before, and `lrb` ran on it
+    path = tmp_path / "labels.csv"
+    path.write_text(f"index,label\n1,0\n2,{value}\n3,1\n")
+    with pytest.raises(ValueError, match="row 3: a label must be 0 or 1"):
+        load_bundle_csv(path)
+    trace = tmp_path / "trace.txt"
+    trace.write_text("a\nb\nc\n")
+    assert cli.main(["--trace", str(trace), "--k", "2", "--policy", "lrb",
+                     "--pred", f"csv:path={path}"]) == 1
+    assert "row 3" in capsys.readouterr().err
 
 
 def test_bundle_csv_reads_whole_values_written_as_floats(tmp_path):
@@ -302,3 +319,30 @@ def test_bundle_payload_validation():
         PredictionBundle(kind=PredictionKind.NRT)
     with pytest.raises(ValueError):
         PredictionBundle(kind=PredictionKind.BINARY)
+    for labels in ([0, 2], [0.0, 1.0], "01", 5, b"\x00\x07", np.array([True, False])):
+        with pytest.raises(ValueError, match="binary"):
+            PredictionBundle(PredictionKind.BINARY, labels=labels)
+    # element by element, where `bytes(array)` would give the raw int64 buffer
+    for labels in ([1, 0, 1], (True, False, True), np.array([1, 0, 1]), bytearray([1, 0, 1])):
+        assert PredictionBundle(PredictionKind.BINARY, labels=labels).labels == b"\1\0\1"
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), k=st.integers(1, 6),
+       p_flip=st.sampled_from((0.0, 0.3, 1.0)))
+def test_every_binary_bundle_holds_0_1_bytes(seed, n, k, p_flip):
+    tr = random_trace(np.random.default_rng(seed), n, k + 3)
+    nrt = synthetic_nrt(tr, 1.0, seed=seed)
+    bundles = [perfect_labels(tr, k), flip_labels(tr, k, p_flip, seed=seed),
+               binary_from_nrt(nrt, tr, k=k), binary_from_nrt(nrt, tr, boundary=3.0),
+               PredictionBundle(PredictionKind.BINARY, labels=list(belady_labels(tr, k)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        save_bundle_csv(bundles[1], path)
+        bundles.append(load_bundle_csv(path))
+    for bundle in bundles:
+        assert bundle.kind is PredictionKind.BINARY
+        assert type(bundle.labels) is bytes and len(bundle.labels) == n
+        assert not bundle.labels.translate(None, b"\0\1")
+    assert bundles[-1].labels == bundles[1].labels
+    assert belady_labels(tr, k) is belady_labels(tr, k) is bundles[0].labels
