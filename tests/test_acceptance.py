@@ -35,10 +35,8 @@ from cachesim import (
     simulate,
     synthetic_nrt,
 )
-from cachesim.draws import DrawStream
 from cachesim.guard import GuardPolicy
 from cachesim.oracle import belady_simulate
-from cachesim.policy import EvictionContext
 from .reference_impls import (
     brute_force_opt,
     catch_up,
@@ -356,27 +354,17 @@ def test_criterion_8_wrapper_overhead_and_scaling():
     half = Trace(pages[:500_000])
     bundle_full = inverted_nrt(full)
     bundle_half = inverted_nrt(half)
-    # (spec, trace, bundle, seed): the best of two raw runs, of three guarded
-    # runs at n = 1e6 and of three at n = 5e5
-    runs = ([("blind_oracle", full, bundle_full, r) for r in range(2)]
-            + [("guard:blind_oracle", full, bundle_full, r) for r in range(3)]
-            + [("guard:blind_oracle", half, bundle_half, r) for r in range(3)])
-    engines = [EvictionContext(build_policy(spec), tr, 100, bundle, DrawStream(seed))
-               for spec, tr, bundle, seed in runs]
-    # The runs take turns, each serving the next thousandth of its trace, so
-    # all of them pass through the same stretch of host time. Run one after
-    # another on a shared host, the same replay took from 1.0 to 1.9 us per
-    # request, which swamps the 10% the doubling gate allows.
-    steps = 1000
-    walls = [0.0] * len(runs)
-    for step in range(1, steps + 1):
-        for j, engine in enumerate(engines):
-            until = len(runs[j][1]) * step // steps
-            start = time.perf_counter()
-            engine.advance(until)
-            walls[j] += time.perf_counter() - start
-    assert [engine.served for engine in engines] == [len(run[1]) for run in runs]
-    raw, guard_full, guard_half = min(walls[:2]), min(walls[2:5]), min(walls[5:])
+
+    def best_wall(spec, tr, bundle, repeats):
+        return min(
+            simulate(build_policy(spec), tr, 100, bundle, seed=r,
+                     compute_opt=False).wall_ms
+            for r in range(repeats)
+        )
+
+    raw = best_wall("blind_oracle", full, bundle_full, 2)
+    guard_full = best_wall("guard:blind_oracle", full, bundle_full, 3)
+    guard_half = best_wall("guard:blind_oracle", half, bundle_half, 3)
     overhead = guard_full / raw
     doubling = guard_full / guard_half
     ok = overhead <= 2.0 and doubling <= 2.2
