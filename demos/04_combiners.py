@@ -6,8 +6,9 @@ When it is unclear whether predictions can be trusted, two policies can be
 combined: each runs on a private virtual cache, and the combiner mirrors
 whichever currently looks better onto the real cache. switch_det moves
 control deterministically once the active policy's virtual misses exceed the
-passive one's; switch_rand keeps multiplicative weights and resamples the
-active policy at every eviction.
+passive one's; switch_rand weighs each policy beta ** (its virtual misses),
+read from the lanes' miss counts, and resamples the active policy in
+proportion to those weights at every eviction.
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .guard import InvariantViolation
-from .harness import ExperimentConfig, resolve_out, run
+from .harness import DEFAULT_K, ExperimentConfig, resolve_out, run
 from .policy import ContractViolation
 
 
@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file holding the flags below; "
                                          "explicit flags take precedence")
     parser.add_argument("--trace", help="path to the trace file")
-    parser.add_argument("--format", choices=["plain", "brightkite", "citi", "addr"],
+    parser.add_argument("--format", choices=list(DEFAULT_K),
                         help="trace file format (default: plain)")
     parser.add_argument("--k", type=int, help="cache size in slots")
     parser.add_argument("--policy", help="policy spec, e.g. lru, guard:blind_oracle, "
@@ -71,9 +71,13 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
             data = json.load(fh)
         if type(data) is not dict:
             raise ValueError(f"config file {config_path} must hold a JSON object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields = dataclasses.fields(ExperimentConfig)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    # null stands for the default where the default is None (`k`, `sweep`, `out`)
+    optional = {f.name for f in fields if f.default is None}
+    data = {key: value for key, value in data.items() if value is not None or key not in optional}
     _check_config_values(data, parser)
     data.update(flags)
     if "trace" not in data:

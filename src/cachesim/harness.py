@@ -80,11 +80,7 @@ class ExperimentConfig:
 
 def load_traces(config: ExperimentConfig) -> list[tuple[str, Trace]]:
     """Read the configured source into labelled sub-traces."""
-    return _read_traces(config, config.resolved_k())  # also rejects an unknown format
-
-
-def _read_traces(config: ExperimentConfig, k: int) -> list[tuple[str, Trace]]:
-    """`load_traces` with the cache size already resolved."""
+    k = config.resolved_k()  # also rejects an unknown format
     text = Path(config.trace).read_text(encoding="utf-8-sig")
     fmt = config.format
     if fmt == "plain":
@@ -300,7 +296,7 @@ def run(config: ExperimentConfig) -> RunTable:
         raise ValueError(f"the {config.format!r} format splits into sub-traces: one csv "
                          "prediction file cannot fit them all")
     predictor = _PREDICTORS[pred_name]
-    traces = _read_traces(config, k)
+    traces = load_traces(config)
 
     rows: list[dict] = []
     sections: list[str] = []

@@ -377,13 +377,12 @@ class _CombinerBase(Policy):
         reaches the combiner, so the lanes are at most one request behind."""
         a, b = self.lanes
         if a.served < now:
-            misses_a, misses_b = a.misses, b.misses
             a.advance(now)
             b.advance(now)
-            self._after_step(a.misses > misses_a, b.misses > misses_b)
+            self._after_step()
 
-    def _after_step(self, miss_a: bool, miss_b: bool) -> None:
-        raise NotImplementedError
+    def _after_step(self) -> None:
+        """Hook invoked after the lanes serve a request."""
 
     def _select_active(self, rng) -> None:
         """Hook invoked at each real eviction before the victim is mapped."""
@@ -412,15 +411,15 @@ class SwitchDeterministicPolicy(_CombinerBase):
         self.bound = bound
         self.name = f"switch_det({a.name},{b.name},{bound:g})"
 
-    def _after_step(self, miss_a, miss_b):
+    def _after_step(self):
         active, passive = self.active, 1 - self.active
         if self.lanes[active].misses > self.bound * self.lanes[passive].misses:
             self.active = passive
 
 
 class SwitchRandomizedPolicy(_CombinerBase):
-    """Multiplicative-weights switching: each sub-policy's weight shrinks by
-    beta on its own virtual misses, and the active policy is resampled
+    """Multiplicative-weights switching: each sub-policy's weight is beta to
+    the power of its lane's virtual misses, and the active policy is resampled
     proportionally to the weights at every real eviction."""
 
     def __init__(self, a: Policy, b: Policy, beta: float = 0.99):
@@ -430,19 +429,16 @@ class SwitchRandomizedPolicy(_CombinerBase):
         self.beta = beta
         self.name = f"switch_rand({a.name},{b.name},{beta:g})"
 
-    def begin_run(self, trace, k, bundle, rng):
-        super().begin_run(trace, k, bundle, rng)
-        self.weights = [1.0, 1.0]
-
-    def _after_step(self, miss_a, miss_b):
-        if miss_a:
-            self.weights[0] *= self.beta
-        if miss_b:
-            self.weights[1] *= self.beta
+    def lane0_probability(self, d: int) -> float:
+        """w0 / (w0 + w1) for w = beta ** misses, where `d` is lane 1's misses
+        minus lane 0's. It reads only beta ** |d|, so it cannot overflow, and
+        it keeps the lanes apart where both weights would underflow."""
+        r = self.beta ** abs(d)
+        return 1 / (1 + r) if d >= 0 else r / (1 + r)
 
     def _select_active(self, rng):
-        w0, w1 = self.weights
-        self.active = 0 if rng.random() < w0 / (w0 + w1) else 1
+        a, b = self.lanes
+        self.active = 0 if rng.random() < self.lane0_probability(b.misses - a.misses) else 1
 
 
 POLICY_FACTORIES: dict[str, type[Policy]] = {

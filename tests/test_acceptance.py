@@ -395,3 +395,57 @@ def test_criterion_9_noise_sweep_curve():
     assert rises
     assert flattens
     assert max(ratios) < bound
+
+
+COMBINERS = ("guard:blind_oracle", "switch_det(blind_oracle,marker)",
+             "switch_det(blind_oracle,lru)", "switch_rand(blind_oracle,marker)")
+
+
+@pytest.mark.slow
+def test_guard_against_the_switching_combiners():
+    # The combiners are the "existing robustification methods" the paper sets
+    # Guard against. With exact predictions the guard and both `switch_det`
+    # cost the optimum (the latter's prediction lane never misses more, so
+    # control never moves), while `switch_rand` redraws its lane at every
+    # eviction and gives up 1-consistency. Under inverted predictions the
+    # combiners may read lower ratios on these instances; only the guard's
+    # bound is asserted.
+    start = time.perf_counter()
+    above_opt = dict.fromkeys(COMBINERS, 0)
+    instances = 0
+    for k in (2, 3, 5, 10):
+        rng = np.random.default_rng(23000 + k)
+        for _ in range(75):
+            universe = int(rng.integers(k + 1, 3 * k + 1))
+            tr = random_trace(rng, int(rng.integers(50, 601)), universe)
+            bundle = perfect_nrt(tr)
+            for spec in COMBINERS:
+                res = simulate(build_policy(spec), tr, k, bundle, seed=instances)
+                above_opt[spec] += res.misses > res.opt_misses
+            instances += 1
+    means = {}
+    for k in (2, 3, 5, 10):
+        rng = np.random.default_rng(23100 + k)
+        totals = dict.fromkeys(COMBINERS, 0.0)
+        for _ in range(20):
+            tr = random_trace(rng, 1500, int(rng.integers(k + 1, 2 * k + 1)))
+            bundle = inverted_nrt(tr)
+            for spec in COMBINERS:
+                totals[spec] += sum(simulate(build_policy(spec), tr, k, bundle, seed=seed).ratio
+                                    for seed in range(5))
+        means[k] = {spec: total / 100 for spec, total in totals.items()}
+    elapsed = time.perf_counter() - start
+    consistent = all(above_opt[spec] == 0 for spec in COMBINERS[:3])
+    robust = all(means[k][COMBINERS[0]] <= robustness_bound(k) for k in means)
+    ok = consistent and above_opt[COMBINERS[3]] > 0 and robust
+    print(f"\n[combiners] {'PASS' if ok else 'FAIL'}: exact predictions, runs above opt "
+          f"in {instances} instances: "
+          + ", ".join(f"{spec} {count}" for spec, count in above_opt.items())
+          + f" ({elapsed:.1f}s)")
+    for k, row in means.items():
+        print(f"[combiners] inverted predictions, k={k}, mean ratios over 20 traces x 5 seeds "
+              f"(guard bound {robustness_bound(k):.3f}): "
+              + ", ".join(f"{spec} {mean:.3f}" for spec, mean in row.items()))
+    assert consistent, above_opt
+    assert above_opt[COMBINERS[3]] > 0
+    assert robust, means

@@ -420,6 +420,23 @@ def test_cli_config_values_are_type_checked(values, match, plain_trace, tmp_path
     assert err.startswith("error: config key") and match in err, err
 
 
+def test_cli_config_reads_null_as_the_default_where_the_default_is_none(
+        plain_trace, tmp_path, capsys):
+    # a config written straight from the dataclass holds null for k, sweep and out
+    cfg = tmp_path / "exp.json"
+    values = dataclasses.asdict(ExperimentConfig(trace=str(plain_trace), policy="lru"))
+    assert [key for key, value in values.items() if value is None] == ["k", "sweep", "out"]
+    cfg.write_text(json.dumps(values))
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert cli.main(["--trace", str(plain_trace), "--policy", "lru"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    for key in ("trace", "seeds", "format", "policy", "phase_stats"):
+        cfg.write_text(json.dumps(dict(values, **{key: None})))
+        assert cli.main(["--config", str(cfg)]) == 1
+        assert f"config key {key!r} must be" in capsys.readouterr().err, key
+
+
 def test_cli_config_checks_every_flag_it_can_hold():
     # the checked keys come from the parser: every config field is a flag
     dests = {action.dest for action in cli._build_parser()._actions}

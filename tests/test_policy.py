@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,11 +25,13 @@ from cachesim import (
     perfect_nrt,
     simulate,
 )
+from cachesim.draws import DrawStream
 from cachesim.guard import GuardPolicy
 from cachesim.policy import (
     SCAN_K,
     BeladyPolicy,
     BlindOraclePolicy,
+    EvictionContext,
     LRBFollowerPolicy,
     LRUPolicy,
     MarkerPolicy,
@@ -216,6 +221,41 @@ def test_switch_rand_stays_near_the_better_lane():
             seed=seed, opt_misses=opt,
         )
         assert res.misses <= 3 * opt
+
+
+def test_switch_rand_keeps_the_better_lane_past_weight_underflow():
+    # 11 pages cycled through 10 slots: `lru` misses every request and `belady`
+    # one in ten. Past about 7,000 misses a lane, 0.9 ** misses underflows for
+    # both lanes, so weights kept as two floats would split the draw about
+    # evenly; the miss difference still favours `belady` overwhelmingly.
+    tr = Trace([i % 11 for i in range(120_000)])
+    policy = build_policy("switch_rand(belady,lru,0.9)")
+    engine = EvictionContext(policy, tr, 10, None, DrawStream(0))
+    engine.advance(100_000)
+    misses, belady = engine.misses, policy.lanes[0].misses
+    engine.advance(120_000)
+    assert policy.lanes[1].misses == 120_000
+    assert engine.misses - misses <= 1.05 * (policy.lanes[0].misses - belady)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99, 0.999])
+def test_switch_rand_lane0_probability_is_exact(beta):
+    policy = SwitchRandomizedPolicy(LRUPolicy(), LRUPolicy(), beta)
+    b = Fraction(beta)
+    for d in range(-1000, 1001):
+        w0, w1 = Fraction(1), b ** d  # the weights scaled by beta ** -misses_0
+        exact = w0 / (w0 + w1)
+        p = policy.lane0_probability(d)
+        assert abs(Fraction(p) - exact) <= 4 * Fraction(math.ulp(float(exact))), d
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99, 0.999])
+def test_switch_rand_lane0_probability_holds_at_any_miss_difference(beta):
+    policy = SwitchRandomizedPolicy(LRUPolicy(), LRUPolicy(), beta)
+    for d in [0, 1, 7, 1_000, 7_000, 74_000, 10**6, 10**7 - 1, 10**7]:
+        p, q = policy.lane0_probability(d), policy.lane0_probability(-d)
+        assert 0.0 <= q <= p <= 1.0
+        assert abs(p + q - 1) <= 1e-15, d
 
 
 @settings(deadline=None, max_examples=150)
