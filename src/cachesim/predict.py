@@ -235,18 +235,22 @@ def binary_from_nrt(
     When no boundary is given it is calibrated as the 90th percentile of the
     offline optimum's eviction forward-gaps on the leading tenth of the trace
     (which needs ``k``); with no warmup evictions every request is labelled 0
-    via a maximal boundary.
+    via a maximal boundary. The derived boundary is kept on the trace, one
+    per k.
     """
     if bundle.kind is not PredictionKind.NRT:
         raise ValueError("binary_from_nrt needs an NRT bundle")
     if boundary is None:
         if k is None:
             raise ValueError("deriving the default boundary requires k")
-        m = max(1, int(len(trace) * 0.1))
-        prefix = Trace(trace.pages[:m])
-        ones = np.frombuffer(belady_labels(prefix, k), bool)
-        gaps = (np.asarray(prefix.next_occurrence) - np.arange(1, m + 1))[ones]
-        boundary = float(np.percentile(gaps, 90.0)) if gaps.size else float(len(trace))
+        boundary = trace._boundaries.get(k)
+        if boundary is None:
+            m = max(1, int(len(trace) * 0.1))
+            prefix = Trace(trace.pages[:m])
+            ones = np.frombuffer(belady_labels(prefix, k), bool)
+            gaps = (np.asarray(prefix.next_occurrence) - np.arange(1, m + 1))[ones]
+            boundary = float(np.percentile(gaps, 90.0)) if gaps.size else float(len(trace))
+            trace._boundaries[k] = boundary
     if boundary <= 0:
         raise ValueError("boundary must be positive")
     labels = bytes(1 if pred - t > boundary else 0 for t, pred in enumerate(bundle.nrt, 1))

@@ -105,10 +105,11 @@ class Trace:
     `pages` is a list of int page ids, `next_occurrence` an `array('q')` of
     request indices (sentinel n+1), and `universe_size` the number of
     distinct pages. The offline optimum's miss count and labels at each
-    cache size are kept on the trace once computed (see `oracle`).
+    cache size are kept on the trace once computed (see `oracle`), and so is
+    the default boundary of `predict.binary_from_nrt`.
     """
 
-    __slots__ = ("pages", "next_occurrence", "universe_size", "_optima")
+    __slots__ = ("pages", "next_occurrence", "universe_size", "_optima", "_boundaries")
 
     def __init__(self, pages: Iterable[PageId]):
         given = pages if type(pages) is list else list(pages)
@@ -128,6 +129,8 @@ class Trace:
         self.universe_size: int = universe
         # cache size -> the optimum's (misses, labels), kept by `oracle._optimum`
         self._optima: dict[int, tuple[int, bytes]] = {}
+        # cache size -> the boundary kept by `predict.binary_from_nrt`
+        self._boundaries: dict[int, float] = {}
 
     def __len__(self) -> int:
         return len(self.pages)

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     ExperimentConfig,
     Trace,
     flip_labels,
+    load_traces,
     measure_error,
     opt_cost,
     perfect_labels,
@@ -155,6 +158,27 @@ def test_a_rejected_k_keeps_no_optimum(k):
     assert tr._optima == {}
 
 
+def test_binary_nrt_derives_its_boundary_once_per_trace_and_k(monkeypatch):
+    # the seeded predictor builds one bundle a seed; the boundary from the
+    # optimum on the leading tenth does not depend on the seed
+    calls = []
+    simulate = oracle.belady_simulate
+
+    def counted(trace, k):
+        calls.append(len(trace))
+        return simulate(trace, k)
+
+    monkeypatch.setattr(oracle, "belady_simulate", counted)
+    config = ExperimentConfig(trace=Path(__file__).parent / "data" / "addr_sample.txt",
+                              format="plain", k=10, policy="lrb", pred="binary_nrt",
+                              seeds=[0, 1, 2, 3, 4])
+    seeds = [row["seed"] for row in run(config).rows]
+    assert seeds == [0, 1, 2, 3, 4, "mean"]
+    [(_, trace)] = load_traces(config)
+    n = len(trace)
+    assert sorted(calls) == [n // 10, n]
+
+
 def test_equal_whole_k_share_one_optimum(monkeypatch):
     calls = []
     simulate = oracle.belady_simulate
@@ -259,3 +283,35 @@ def test_rb_random_policy_matches_opt():
 def test_rb_random_policy_is_seed_deterministic():
     tr = Trace([0, 1, 2, 3, 0, 1, 2, 3, 4, 0])
     assert rb_random_policy_cost(tr, 2, seed=7) == rb_random_policy_cost(tr, 2, seed=7)
+
+
+def _trace_of_shape(shape: str, n: int, universe: int, seed: int) -> Trace:
+    rng = np.random.default_rng(seed)
+    if shape == "once":  # every page requested once
+        return Trace(range(n))
+    if shape == "runs":  # long runs of one page
+        runs = rng.integers(0, universe, n)
+        return Trace(np.repeat(runs, rng.integers(1, 150, n))[:n])
+    return Trace(rng.integers(0, universe, n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from((63, 64, 65, 127, 128, 129)) | st.integers(1, 300),
+    shape=st.sampled_from(("uniform", "once", "runs")),
+    universe=st.integers(1, 40),
+    k=st.sampled_from((1, "U", "U+1")) | st.integers(1, 12),
+)
+def test_optimum_matches_max_reference_byte_for_byte(seed, n, shape, universe, k):
+    # the flags cover 64 slots each: n around one and two blocks, k = 1,
+    # caches that hold every page, pages that never return and long runs
+    trace = _trace_of_shape(shape, n, universe, seed)
+    if k == "U":
+        k = trace.universe_size
+    elif k == "U+1":
+        k = trace.universe_size + 1
+    got = belady_simulate(trace, k)
+    want = max_belady_simulate(trace, k)
+    assert got.misses == want.misses
+    assert got.labels == bytes(want.labels)

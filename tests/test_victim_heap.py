@@ -2,8 +2,8 @@
 
 `blind_oracle`, `belady` and `fitf` (for its truth) pick their victims from
 a lazy-deletion heap above `SCAN_K` slots and by one scan of the cache's heap
-keys up to it, `belady_simulate` pops its own lazy-deletion heap at every
-cache size, `lrb` reads the label attached at each page's last request
+keys up to it, `belady_simulate` searches marks on next-request times at
+every cache size, `lrb` reads the label attached at each page's last request
 through `last_used`, `lru` takes the least recent page from the engine's
 `last_used`, and `marker` reads its marks from `last_used` and the request
 index of its last clear. On random traces with perfect, inverted and noisy
@@ -19,7 +19,8 @@ the heap's next rebuild must rebuild at the same requests as the engine that
 compares the heap's length with its limit on every request, bare, under
 `guard:` and in combiner lanes; up to `SCAN_K` no engine keeps a heap.
 Counted, each heap pops no more entries than its pushes and rebuilds put in,
-and its rebuilds put in at most a third of what its pushes do.
+and its rebuilds put in at most a third of what its pushes do; the optimum's
+searches clear at most one stale flag per eviction.
 """
 
 from __future__ import annotations
@@ -304,19 +305,53 @@ def counted_heaps(module):
         yield counts
 
 
+@contextmanager
+def counted_marks():
+    """Count the optimum's work on its marks: each `bytearray` it makes
+    counts its `rfind` calls and the zeros written into it."""
+    made = []
+
+    class CountingBytearray(bytearray):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.rfinds = self.zeros = 0
+            made.append(self)
+
+        def rfind(self, *args):
+            self.rfinds += 1
+            return super().rfind(*args)
+
+        def __setitem__(self, index, value):
+            self.zeros += value == 0
+            super().__setitem__(index, value)
+
+    with mock.patch.object(cachesim.oracle, "bytearray", CountingBytearray, create=True):
+        yield made
+
+
 @pytest.mark.parametrize("k", (1, 2, 5, 10, 100))
 def test_victim_heaps_do_amortised_constant_work_per_request(k):
-    # A pop takes out an entry that a push or a rebuild put in, and a rebuild
-    # of at most k entries follows at least 3k + 1 pushes: so a run of n
-    # requests pops at most n + n / 3 entries however many pages are dead.
+    # The optimum writes a constant number of marks a request. A search meets
+    # a flag whose block holds no mark only above every mark, so the last
+    # mark it held was evicted: at most one such clear per eviction, and each
+    # clear costs one more `rfind` of the flags and of the marks.
+    # In the engine, a pop takes out an entry that a push or a rebuild put
+    # in, and a rebuild of at most k entries follows at least 3k + 1 pushes:
+    # so a run of n requests pops at most n + n / 3 entries however many
+    # pages are dead.
     trace = random_trace(np.random.default_rng(k), 3000, k + 1 + k // 2)
     n = len(trace)
-    with counted_heaps(cachesim.oracle) as opt:
+    with counted_marks() as made:
         out = belady_simulate(trace, k)
+    want = max_belady_simulate(trace, k)
+    assert (out.misses, out.labels) == (want.misses, bytes(want.labels))
     evictions = out.misses - min(k, trace.universe_size)
-    assert opt["push"] == n
-    assert evictions <= opt["pop"] <= opt["push"] + opt["rebuilt"]
-    assert 3 * opt["rebuilt"] <= opt["push"]
+    flags = min(made, key=len)
+    alive = max(made, key=len)
+    assert len(flags) <= n // 64 + 2
+    assert alive.zeros == n - out.misses  # one cleared mark a hit
+    assert flags.zeros <= min(n, evictions)
+    assert sum(b.rfinds for b in made) <= 2 * evictions + flags.zeros
     for spec, bundle in (("guard:blind_oracle", inverted_nrt(trace)), ("belady", None),
                          ("guard:fitf", noisy_fitf(trace, k, 0.5, seed=k))):
         with counted_heaps(cachesim.policy) as engine:
