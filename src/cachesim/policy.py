@@ -14,10 +14,10 @@ context's `excluded` set, which the guard sets to its shield set. A policy
 that evicts the page with the largest value attached at its last request
 (`blind_oracle`, `belady`, and `fitf` for its true furthest page) names those
 values in `victim_order` and takes its victim from `furthest`, which skips
-excluded pages. Above `SCAN_K` slots the engine keeps a heap of those values
-and `furthest` pops it in O(log k); up to `SCAN_K` it keeps none, and
-`furthest` scans the candidates once, in O(k). Every other policy scans
-`candidates`.
+excluded pages. Above `SCAN_K` slots `furthest` fills a heap of keys built
+once per run and pops it, in amortised O(log k) a request, and `advance`
+does no heap work; up to `SCAN_K` it scans the candidates once, in O(k).
+Every other policy scans `candidates`.
 
 The `rng` that `begin_run` and `choose_victim` receive is the run's
 `DrawStream`, the one the engine is given (a combiner hands its own engine's
@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from .draws import DrawStream
 from .oracle import check_k, opt_cost
@@ -45,13 +47,36 @@ from .trace import PageId, Trace
 # The largest cache size at which the replay engine's value-ordered victims
 # (`EvictionContext.furthest` for `blind_oracle`, `belady` and `fitf`'s truth)
 # come from one O(k) scan of the cache on each eviction instead of an
-# O(log k) heap that takes one push per request. Scan time over heap time,
+# O(log k) heap. Scan time over the time of a heap pushed on every request,
 # replaying 3,000-request uniform and bursty traces over k+1 to 2k pages:
 # raw `blind_oracle` under inverted predictions, which evicts on almost every
 # request, reads 0.66-0.72 at k = 2 and 0.95-1.02 at k = 5, then loses from
 # k = 6 (1.02-1.12, and 1.35-1.48 at k = 10). Guarded and FITF regimes read
-# 0.72-0.98 at every k up to 10.
+# 0.72-0.98 at every k up to 10. Used at every k, the heap filled at
+# evictions from keys built once per run took 1.08-1.10x on `envelope-small-k`.
 SCAN_K = 5
+
+
+def _victim_keys(trace: Trace, values: Sequence[int]) -> array | list[int]:
+    """Every request's heap key, `i - values[i - 1] * (n + 2)`: an int64
+    `array('q')` when every key fits, else a list of Python ints, in which a
+    float value makes a float key whose decode raises `TypeError`. The keys
+    of `trace.next_occurrence` are kept on the trace once built."""
+    if values is trace.next_occurrence and trace._next_keys is not None:
+        return trace._next_keys
+    n = len(values)
+    try:
+        keys = array("q", values)
+        vals = np.frombuffer(keys, np.int64)
+        if max(-int(vals.min()), int(vals.max())) * (n + 2) + n >= 2**63:
+            raise OverflowError
+        vals *= -(n + 2)
+        vals += np.arange(1, n + 1)
+    except (TypeError, OverflowError):  # a float, or a value or key past int64
+        keys = [i - v * (n + 2) for i, v in enumerate(values, 1)]
+    if values is trace.next_occurrence:
+        trace._next_keys = keys
+    return keys
 
 
 class ContractViolation(RuntimeError):
@@ -77,20 +102,20 @@ class EvictionContext:
     smallest key: the largest value, the least recently used among equal
     values (indices are unique, so live keys never tie). At k <= `SCAN_K` the
     engine keeps no heap, and `furthest` computes the candidates' keys in one
-    scan. Above it, the engine pushes every request's key onto a min-heap
-    once the cache and `last_used` are updated. An entry is live while its
-    page is cached and was last requested at its index; others are dropped
-    when they reach the top. The heap is rebuilt from the cache when it grows
-    past 4k entries, so it holds O(k) entries. Only pushes grow it, one per
-    request, so the engine counts down the pushes left before it can outgrow
-    that limit and checks its length only then: it rebuilds at the same
-    requests as a check on every request would.
+    scan. Above it, every request's key is built once per run, and
+    `furthest` first takes into a min-heap the keys of the requests served
+    since its last call (inside an eviction, those before `now`): by a push
+    each, or by a rebuild from the cache when the heap would pass 4k
+    entries, so it holds O(k). An entry is live while its page is cached and
+    was last requested at its index; others are dropped when they reach the
+    top. `advance` does no heap work, so an eviction that does not call
+    `furthest` (a guard's redirect) costs the heap nothing.
     """
 
     __slots__ = ("now", "requested", "cached", "excluded", "predictions",
                  "last_used", "policy", "k", "rng", "misses", "served",
                  "last_evict_t", "last_evict_victim", "rebuilds",
-                 "_pages", "_order", "_heap", "_calls", "_pushes_left")
+                 "_pages", "_order", "_heap", "_keys", "_synced", "_calls")
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
                  bundle: PredictionBundle | None,
@@ -115,9 +140,10 @@ class EvictionContext:
         self._calls = (policy.on_request if policy.needs_request_hook else None,
                        policy.choose_victim)
         self._order = policy.victim_order(trace, bundle)
-        self._heap: list[int] | None = (
-            None if self._order is None or k <= SCAN_K else [])
-        self._pushes_left = 4 * k + 1
+        self._heap = self._keys = None
+        self._synced = 0  # requests whose keys the heap has taken in
+        if self._order is not None and k > SCAN_K:
+            self._heap, self._keys = [], _victim_keys(trace, self._order)
 
     @property
     def candidates(self) -> set[PageId]:
@@ -130,20 +156,15 @@ class EvictionContext:
         rng = self.rng
         cache = self.cached
         last_used = self.last_used
-        order, heap = self._order, self._heap
-        m = len(self._pages) + 2
-        limit = 4 * k
         hook, choose = self._calls
         misses = self.misses
         # kept in locals and stored once per call: an attribute store on every
         # eviction is measurable on short runs with many evictions
         evict_t, evict_victim = self.last_evict_t, self.last_evict_victim
-        left = self._pushes_left
         i = self.served
-        # slices, not an islice from the first request: a combiner lane
+        # a slice, not an islice from the first request: a combiner lane
         # advances one request per call
-        values = order[i:until] if heap is not None else repeat(0)
-        for p, value in zip(self._pages[i:until], values):
+        for p in self._pages[i:until]:
             i += 1
             if p in cache:
                 last_used[p] = i
@@ -165,17 +186,6 @@ class EvictionContext:
                 last_used[p] = i
                 if hook is not None:
                     hook(p, i, False)
-            if heap is not None:
-                heappush(heap, i - value * m)
-                left -= 1
-                if not left:
-                    if len(heap) > limit:
-                        heap[:] = [t - order[t - 1] * m
-                                   for t in map(last_used.__getitem__, cache)]
-                        heapify(heap)
-                        self.rebuilds += 1
-                    left = limit + 1 - len(heap)
-        self._pushes_left = left
         self.served = i
         self.misses = misses
         self.last_evict_t, self.last_evict_victim = evict_t, evict_victim
@@ -184,8 +194,9 @@ class EvictionContext:
         """The cached page outside `excluded` with the largest value in the
         policy's `victim_order`, least recently used first among equals.
 
-        At k <= `SCAN_K` it scans the candidates' keys. Above it, it pops
-        dead heap entries for good and pushes live excluded ones back.
+        At k <= `SCAN_K` it scans the candidates' keys. Above it, it takes
+        the new requests' keys into the heap, pops dead entries for good and
+        pushes live excluded ones back.
         """
         heap, cache, last_used, excluded = self._heap, self.cached, self.last_used, self.excluded
         pages = self._pages
@@ -202,6 +213,20 @@ class EvictionContext:
             if best is not None:
                 return pages[best % m - 1]
         else:
+            # take in the requests served since the last call: inside an
+            # eviction (`advance` stores `served` as it returns) those before
+            # `now`, outside one every served request
+            start, keys = self._synced, self._keys
+            end = self._synced = self.now - 1 if self.now > self.served else self.served
+            if len(heap) + end - start > 4 * self.k:
+                heap[:] = [keys[t - 1] for t in map(last_used.__getitem__, cache)]
+                heapify(heap)
+                self.rebuilds += 1
+            elif end - start == 1:
+                heappush(heap, keys[start])
+            else:
+                for key in keys[start:end]:
+                    heappush(heap, key)
             held = []
             try:
                 while heap:
@@ -238,10 +263,11 @@ class Policy:
                      bundle: PredictionBundle | None) -> Sequence[int] | None:
         """Per-request integer values for a policy that evicts the page with
         the largest value attached at its last request, through
-        `EvictionContext.furthest`: above `SCAN_K` slots the engine keeps
-        them in a heap, and up to it `furthest` scans the candidates' values.
-        None for a policy that scans its candidates itself. A float value
-        makes the key decode fail (a `TypeError`) at the first eviction."""
+        `EvictionContext.furthest`: above `SCAN_K` slots it pops a heap of
+        keys the engine builds from them once per run, and up to it scans
+        the candidates' values. None for a policy that scans its candidates
+        itself. A float value makes the key decode fail (a `TypeError`) at
+        the first eviction."""
         return None
 
     def choose_victim(self, ctx: EvictionContext, rng: DrawStream) -> PageId:

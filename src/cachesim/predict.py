@@ -5,8 +5,8 @@ per-request next-request-time estimates (NRT), per-request binary eviction
 labels, and a furthest-in-the-future choice function (FITF) that a `fitf`
 replay queries at each eviction. Bundles are built deterministically from
 (trace, parameters, seed). Labels are an immutable `bytes` of 0/1, one byte a
-request. `perfect_nrt` returns its values as an int64 `array('q')`, and the
-other NRT builders return lists of ints.
+request. `perfect_nrt` and `inverted_nrt` return their values as an int64
+`array('q')`, and the other NRT builders return lists of ints.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ class PredictionBundle:
     """One prediction stream; exactly the payload matching ``kind`` is set.
 
     `nrt` holds one int per request: a list, or an int64 `array('q')`
-    (`perfect_nrt`). `labels` is a `bytes` of 0/1, one byte a request; any
-    other sequence of 0s and 1s is converted to one. FITF bundles count their
-    queries and how many answers differed from the true furthest-in-the-future
-    page; use one bundle instance per run.
+    (`perfect_nrt`, `inverted_nrt`). `labels` is a `bytes` of 0/1, one byte
+    a request; any other sequence of 0s and 1s is converted to one. FITF
+    bundles count their queries and how many answers differed from the true
+    furthest-in-the-future page; use one bundle instance per run.
     """
 
     kind: PredictionKind
@@ -114,15 +114,16 @@ def synthetic_nrt(trace: Trace, sigma: float, seed: int = 0) -> PredictionBundle
 
 def inverted_nrt(trace: Trace) -> PredictionBundle:
     """Adversarial stream predicting n+1-T: the sooner a page returns, the
-    further in the future it is claimed to be.
+    further in the future it is claimed to be. An int64 `array('q')`, filled
+    by one numpy pass over the trace's `next_occurrence`.
 
     Deliberately violates the usual "prediction lies in the future" shape;
     it exists to probe worst-case behaviour of prediction-following policies.
     """
-    n = len(trace)
-    return PredictionBundle(
-        PredictionKind.NRT, nrt=[n + 1 - T for T in trace.next_occurrence]
-    )
+    nrt = array("q", trace.next_occurrence)
+    vals = np.frombuffer(nrt, np.int64)
+    np.subtract(len(trace) + 1, vals, out=vals)
+    return PredictionBundle(PredictionKind.NRT, nrt=nrt)
 
 
 def perfect_labels(trace: Trace, k: int) -> PredictionBundle:

@@ -105,11 +105,13 @@ class Trace:
     `pages` is a list of int page ids, `next_occurrence` an `array('q')` of
     request indices (sentinel n+1), and `universe_size` the number of
     distinct pages. The offline optimum's miss count and labels at each
-    cache size are kept on the trace once computed (see `oracle`), and so is
-    the default boundary of `predict.binary_from_nrt`.
+    cache size are kept on the trace once computed (see `oracle`), and so
+    are the default boundary of `predict.binary_from_nrt` and the replay
+    engine's heap keys of `next_occurrence` (`policy._victim_keys`).
     """
 
-    __slots__ = ("pages", "next_occurrence", "universe_size", "_optima", "_boundaries")
+    __slots__ = ("pages", "next_occurrence", "universe_size", "_optima", "_boundaries",
+                 "_next_keys")
 
     def __init__(self, pages: Iterable[PageId]):
         given = pages if type(pages) is list else list(pages)
@@ -131,6 +133,7 @@ class Trace:
         self._optima: dict[int, tuple[int, bytes]] = {}
         # cache size -> the boundary kept by `predict.binary_from_nrt`
         self._boundaries: dict[int, float] = {}
+        self._next_keys: array | None = None  # kept by `policy._victim_keys`
 
     def __len__(self) -> int:
         return len(self.pages)

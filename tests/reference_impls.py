@@ -4,20 +4,19 @@ Everything here trades speed for obviousness: quadratic scans and direct
 simulations that can be checked by eye, so the package's optimized versions
 have something independent to agree with. The `max`-based victim choices of
 `belady`, `blind_oracle` and the offline optimum, which the package replaced
-with heaps (and, up to `SCAN_K` slots, a scan of the heaps' keys), are kept
-here as the rules those must reproduce (the
-optimum's with the eviction events and cache states that only the tests
-read), and so is
+with the engine's heap (up to `SCAN_K` slots, a scan of the cache's keys)
+and the optimum's marks, are kept here as the rules those must reproduce
+(the optimum's with the eviction events and cache states that only the
+tests read), and so is
 the FITF truth found by bisecting each candidate's request list. The guard
 and `marker` as they were when the engine told every policy of every eviction
 through `on_evict` and the guard took a hook on every request are kept too,
 with an engine that still makes that call, as the rules the lazy guard must
 reproduce, along with the eager guard's sampling set and the catch-up that
-lets a test read the lazy guard's state after any request. So is the engine
-that compared the heap's length with its limit on every request, which the
-countdown to the next rebuild must reproduce. A guard that counts its own
-work (phase resets and the pages each reset and catch-up moves) checks the
-paper's "O(1) extra per request" by counts instead of timings.
+lets a test read the lazy guard's state after any request. A guard that
+counts its own work (phase resets and the pages each reset and catch-up
+moves) checks the paper's "O(1) extra per request" by counts instead of
+timings.
 The plain and check-in readers and the next-occurrence pass as per-line and
 per-request loops are the rules the package's C-level passes must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
@@ -32,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappush
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -46,7 +44,7 @@ from cachesim import (
 )
 from cachesim.guard import GuardPolicy, PhaseStats
 from cachesim.oracle import belady_labels
-from cachesim.policy import ContractViolation, EvictionContext
+from cachesim.policy import EvictionContext
 from cachesim.predict import PredictionKind
 from cachesim.trace import PageId
 
@@ -531,54 +529,6 @@ class EagerEvictionContext(EvictionContext):
             return victim
 
         self._calls = (hook, choose_and_notify)
-
-
-class LengthCheckEvictionContext(EvictionContext):
-    """The replay engine as it was before it counted down the pushes to the
-    heap's next rebuild: it compares the heap's length with its limit after
-    every push."""
-
-    __slots__ = ()
-
-    def advance(self, until: int) -> None:
-        k = self.k
-        rng = self.rng
-        cache = self.cached
-        last_used = self.last_used
-        order, heap = self._order, self._heap
-        m = len(self._pages) + 2
-        limit = 4 * k
-        hook, choose = self._calls
-        i = self.served
-        for p in self._pages[i:until]:
-            i += 1
-            if p in cache:
-                last_used[p] = i
-                if hook is not None:
-                    hook(p, i, True)
-            else:
-                self.misses += 1
-                if len(cache) == k:
-                    self.now = i
-                    self.requested = p
-                    victim = choose(self, rng)
-                    if victim not in cache:
-                        raise ContractViolation(
-                            f"{self.policy.name} chose non-candidate victim {victim!r} at t={i}"
-                        )
-                    cache.discard(victim)
-                    self.last_evict_t, self.last_evict_victim = i, victim
-                cache.add(p)
-                last_used[p] = i
-                if hook is not None:
-                    hook(p, i, False)
-            if heap is not None:
-                heappush(heap, i - order[i - 1] * m)
-                if len(heap) > limit:
-                    heap[:] = [t - order[t - 1] * m for t in map(last_used.__getitem__, cache)]
-                    heapify(heap)
-                    self.rebuilds += 1
-        self.served = i
 
 
 class EagerMarkerPolicy(Policy):

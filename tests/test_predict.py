@@ -91,8 +91,9 @@ def test_synthetic_is_seed_deterministic():
 
 def test_inverted_nrt_reverses_order():
     tr = Trace([0, 1, 0])
-    # true next occurrences [3, 4, 4] -> n+1-T = [1, 0, 0]
-    assert inverted_nrt(tr).nrt == [1, 0, 0]
+    # true next occurrences [3, 4, 4] -> n+1-T = [1, 0, 0], in an int64 array
+    nrt = inverted_nrt(tr).nrt
+    assert nrt.typecode == "q" and list(nrt) == [1, 0, 0]
 
 
 def test_perfect_labels_match_offline_evictions():

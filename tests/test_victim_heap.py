@@ -1,30 +1,33 @@
 """The value-ordered victim choice against the scans it replaced.
 
 `blind_oracle`, `belady` and `fitf` (for its truth) pick their victims from
-a lazy-deletion heap above `SCAN_K` slots and by one scan of the cache's heap
-keys up to it, `belady_simulate` searches marks on next-request times at
-every cache size, `lrb` reads the label attached at each page's last request
-through `last_used`, `lru` takes the least recent page from the engine's
+a lazy-deletion heap above `SCAN_K` slots, filled at each eviction from
+keys built once per run (an int64 array, or Python ints where a key passes
+int64), and by one scan of the cache's heap keys up to it;
+`belady_simulate` searches marks on next-request times at every cache size,
+`lrb` reads the label attached at each page's last request through
+`last_used`, `lru` takes the least recent page from the engine's
 `last_used`, and `marker` reads its marks from `last_used` and the request
 index of its last clear. On random traces with perfect, inverted and noisy
-predictions,
-every eviction (request index and victim) of these policies, bare and under
+predictions, every eviction (request index and victim) of these policies,
+and of `blind_oracle` under bundles of either key form, bare and under
 `guard:`, must equal that of the reference in `reference_impls.py`: a scan,
 a recency list kept by a request hook, or a `marker` that unmarks in an
 engine-called `on_evict`, each run on the eager engine and, under `guard:`,
 wrapped in the eager guard. The optimum's misses and labels must equal the
 reference's. FITF answers at every noise level must equal
-those of the bisect reference, truth for truth. The engine's countdown to
-the heap's next rebuild must rebuild at the same requests as the engine that
-compares the heap's length with its limit on every request, bare, under
-`guard:` and in combiner lanes; up to `SCAN_K` no engine keeps a heap.
-Counted, each heap pops no more entries than its pushes and rebuilds put in,
-and its rebuilds put in at most a third of what its pushes do; the optimum's
-searches clear at most one stale flag per eviction.
+those of the bisect reference, truth for truth. A run served a request per
+`advance` call and one served in a single call must make the same
+evictions, misses and heap rebuilds, bare, under `guard:` and in combiner
+lanes, with no heap past 4k entries; up to `SCAN_K` no engine keeps a heap.
+Counted, each heap takes in at most one push a request, pops no more
+entries than its pushes and rebuilds put in, and rebuilds at most n / 3 + k
+entries; the optimum's searches clear at most one stale flag per eviction.
 """
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from unittest import mock
 
@@ -48,13 +51,12 @@ from cachesim import (
 from cachesim.draws import DrawStream
 from cachesim.oracle import belady_simulate
 from cachesim.policy import SCAN_K, BlindOraclePolicy, EvictionContext
-from cachesim.predict import PredictionBundle, PredictionKind
+from cachesim.predict import NRT_CAP, PredictionBundle, PredictionKind
 from .reference_impls import (
     DictLRBPolicy,
     EagerEvictionContext,
     EagerGuardPolicy,
     EagerMarkerPolicy,
-    LengthCheckEvictionContext,
     MaxBeladyPolicy,
     MaxBlindOraclePolicy,
     RecencyLRUPolicy,
@@ -180,6 +182,33 @@ def test_negative_predictions_order_like_the_max_reference(k):
             assert got == want and got
 
 
+@pytest.mark.parametrize("k", (SCAN_K + 1, 17, 100))
+def test_both_key_forms_evict_like_the_max_reference(k):
+    # keys that all fit in int64 are kept in an `array('q')`, and any other
+    # keys as Python ints: `synthetic_nrt` at sigma = 50 reaches its cap of
+    # 2**53, which times n + 2 passes 2**63, and values times 2**62 pass it
+    # before any product
+    trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
+    capped = synthetic_nrt(trace, 50.0, seed=k).nrt
+    assert max(capped) == NRT_CAP and NRT_CAP * (len(trace) + 2) >= 2**63
+    sigma1 = synthetic_nrt(trace, 1.0, seed=k).nrt
+    for nrt, form in ((capped, list), ([v << 62 for v in sigma1], list), (sigma1, array),
+                      (inverted_nrt(trace).nrt, array)):
+        bundle = PredictionBundle(PredictionKind.NRT, nrt=nrt)
+        for spec, reference in (("blind_oracle", MaxBlindOraclePolicy),
+                                ("guard:blind_oracle",
+                                 lambda: EagerGuardPolicy(MaxBlindOraclePolicy()))):
+            got, engine = eviction_log(build_policy(spec), trace, k, bundle, 5)
+            want, _ = eviction_log(reference(), trace, k, bundle, 5, EagerEvictionContext)
+            assert got == want and got
+            assert type(engine._keys) is form
+    # the keys of the true next request times are built once per trace
+    belady, fitf = (EvictionContext(build_policy(spec), trace, k, bundle, DrawStream(0))
+                    for spec, bundle in (("belady", None), ("fitf", noisy_fitf(trace, k, 0.5))))
+    assert belady._keys is fitf._keys is trace._next_keys
+    assert type(belady._keys) is array
+
+
 @contextmanager
 def recorded_truths():
     """Record every page `EvictionContext.furthest` returns."""
@@ -220,7 +249,7 @@ def test_fitf_truths_and_evictions_match_bisect_reference(seed, n, k, spread, ep
 
 # heap-ordered policies bare, guarded and as combiner lanes, which the
 # combiner advances a request at a time
-COUNTDOWN_SPECS = (
+HEAP_SPECS = (
     "blind_oracle", "belady", "fitf", "guard:blind_oracle", "guard:fitf",
     "switch_det(blind_oracle,belady)", "switch_rand(belady,blind_oracle)",
     "switch_rand(fitf,belady,0.9)", "guard:switch_det(fitf,belady,1.5)",
@@ -237,45 +266,60 @@ def heap_engines(engine):
         yield from heap_engines(lane)
 
 
-def countdown_bundle(spec, trace, k, seed):
+def heap_bundle(spec, trace, k, seed):
     kind = build_policy(spec).requires.value
     if kind == "nrt":
         return synthetic_nrt(trace, 1.0, seed=seed)
     return noisy_fitf(trace, k, 0.5, seed=seed) if kind == "fitf" else None
 
 
+def whole_run_log(policy, trace, k, bundle, seed):
+    """Every (request index, victim) of one run served in one `advance`
+    call, as `simulate` serves it, and the engine that ran it."""
+    engine = EvictionContext(policy, trace, k, bundle, DrawStream(seed))
+    hook, choose = engine._calls
+    log = []
+
+    def logging_choose(ctx, rng):
+        victim = choose(ctx, rng)
+        log.append((ctx.now, victim))
+        return victim
+
+    engine._calls = (hook, logging_choose)
+    engine.advance(len(trace))
+    return log, engine
+
+
 @pytest.mark.parametrize("k", (SCAN_K + 1, SCAN_K + 3, 10, 100))
-@pytest.mark.parametrize("spec", COUNTDOWN_SPECS)
-def test_rebuild_countdown_matches_length_check(spec, k):
+@pytest.mark.parametrize("spec", HEAP_SPECS)
+def test_heap_fills_alike_stepped_or_whole(spec, k):
+    # `furthest` brings the heap up to date with the requests served since
+    # its last call, so how `advance` is called must not move an eviction,
+    # a miss or a rebuild; the combiner lanes advance a request per call
+    # either way
     trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
-
-    def bundle(seed):
-        return countdown_bundle(spec, trace, k, seed)
-
     for seed in (0, 1):
-        with mock.patch.object(cachesim.policy, "EvictionContext", LengthCheckEvictionContext):
-            # the lanes of the reference run on the reference engine too
-            want, reference = eviction_log(build_policy(spec), trace, k, bundle(seed), seed,
-                                           LengthCheckEvictionContext)
-        got, engine = eviction_log(build_policy(spec), trace, k, bundle(seed), seed)
-        assert got == want
-        assert {type(e) for e in heap_engines(reference)} == {LengthCheckEvictionContext}
-        rebuilds = [e.rebuilds for e in heap_engines(reference)]
-        assert [e.rebuilds for e in heap_engines(engine)] == rebuilds
-        assert sum(rebuilds) > 0
-        # served in one call, as `simulate` serves it
-        whole = EvictionContext(build_policy(spec), trace, k, bundle(seed), DrawStream(seed))
-        whole.advance(len(trace))
-        assert (whole.misses, whole.rebuilds) == (engine.misses, engine.rebuilds)
+        bundle = heap_bundle(spec, trace, k, seed)
+        with counted_heaps(cachesim.policy) as counts:
+            stepped, engine = eviction_log(build_policy(spec), trace, k, bundle, seed)
+        assert 0 < counts["largest"] <= 4 * k
+        bundle = heap_bundle(spec, trace, k, seed)
+        with counted_heaps(cachesim.policy) as counts:
+            whole, once = whole_run_log(build_policy(spec), trace, k, bundle, seed)
+        assert 0 < counts["largest"] <= 4 * k
+        assert whole == stepped and whole
+        got = [(e.misses, e.rebuilds) for e in heap_engines(once)]
+        assert got == [(e.misses, e.rebuilds) for e in heap_engines(engine)]
+        assert sum(e.rebuilds for e in heap_engines(engine)) > 0
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, SCAN_K))
-@pytest.mark.parametrize("spec", COUNTDOWN_SPECS)
+@pytest.mark.parametrize("spec", HEAP_SPECS)
 def test_small_caches_keep_no_heap(spec, k):
     # up to SCAN_K every engine, lanes included, finds its victims by a scan
     trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
     got, engine = eviction_log(build_policy(spec), trace, k,
-                               countdown_bundle(spec, trace, k, 0), 0)
+                               heap_bundle(spec, trace, k, 0), 0)
     engines = list(heap_engines(engine))
     assert got
     assert [(e._heap, e.rebuilds) for e in engines] == [(None, 0)] * len(engines)
@@ -283,22 +327,28 @@ def test_small_caches_keep_no_heap(spec, k):
 
 @contextmanager
 def counted_heaps(module):
-    """Count the heap work of `module`: pushes, pops, and the entries each
-    rebuild's `heapify` puts in."""
-    counts = {"push": 0, "pop": 0, "rebuilt": 0}
+    """Count the heap work of `module`: pushes of new keys, pushes of keys
+    popped before, pops, the entries each rebuild's `heapify` puts in, and
+    the most entries a heap held after a push or a rebuild."""
+    counts = {"push": 0, "pushback": 0, "pop": 0, "rebuilt": 0, "largest": 0}
     push, pop, heapify = module.heappush, module.heappop, module.heapify
+    popped = set()
 
     def counting_push(heap, key):
-        counts["push"] += 1
+        counts["pushback" if key in popped else "push"] += 1
         push(heap, key)
+        counts["largest"] = max(counts["largest"], len(heap))
 
     def counting_pop(heap):
         counts["pop"] += 1
-        return pop(heap)
+        key = pop(heap)
+        popped.add(key)
+        return key
 
     def counting_heapify(heap):
         counts["rebuilt"] += len(heap)
         heapify(heap)
+        counts["largest"] = max(counts["largest"], len(heap))
 
     with mock.patch.multiple(module, heappush=counting_push, heappop=counting_pop,
                              heapify=counting_heapify):
@@ -336,9 +386,10 @@ def test_victim_heaps_do_amortised_constant_work_per_request(k):
     # mark it held was evicted: at most one such clear per eviction, and each
     # clear costs one more `rfind` of the flags and of the marks.
     # In the engine, a pop takes out an entry that a push or a rebuild put
-    # in, and a rebuild of at most k entries follows at least 3k + 1 pushes:
-    # so a run of n requests pops at most n + n / 3 entries however many
-    # pages are dead.
+    # in. A rebuild puts in at most k entries, and comes only once the heap
+    # would pass 4k, so at least 3k keys have arrived since the one before:
+    # a run of n requests rebuilds at most n / 3 + k entries and pops at
+    # most n + n / 3 + k, however many pages are dead.
     trace = random_trace(np.random.default_rng(k), 3000, k + 1 + k // 2)
     n = len(trace)
     with counted_marks() as made:
@@ -358,10 +409,13 @@ def test_victim_heaps_do_amortised_constant_work_per_request(k):
             result = cachesim.policy.simulate(build_policy(spec), trace, k, bundle,
                                               compute_opt=False)
         if k <= SCAN_K:  # no heap: the engine scans the candidates
-            assert engine == {"push": 0, "pop": 0, "rebuilt": 0}, spec
+            assert not any(engine.values()), spec
             continue
-        # every request pushes its key, and `furthest` pushes back the live
-        # shielded keys it popped; it leaves the victim's key on top, dead
-        assert engine["push"] >= n and result.misses > k
-        assert 0 < engine["pop"] <= engine["push"] + engine["rebuilt"]
-        assert 3 * engine["rebuilt"] <= engine["push"]
+        # `furthest` takes in each request's key at most once, by a push or
+        # a rebuild, and pushes back the live shielded keys it popped; it
+        # leaves the victim's key on top, dead
+        assert result.misses > k
+        assert engine["push"] <= n
+        assert 0 < engine["pop"] <= engine["push"] + engine["pushback"] + engine["rebuilt"]
+        assert engine["pushback"] <= engine["pop"]
+        assert engine["rebuilt"] <= n / 3 + k
