@@ -292,11 +292,13 @@ def whole_run_log(policy, trace, k, bundle, seed):
 
 @pytest.mark.parametrize("k", (SCAN_K + 1, SCAN_K + 3, 10, 100))
 @pytest.mark.parametrize("spec", HEAP_SPECS)
-def test_heap_fills_alike_stepped_or_whole(spec, k):
+def test_rebuild_countdown_matches_length_check(spec, k):
     # `furthest` brings the heap up to date with the requests served since
-    # its last call, so how `advance` is called must not move an eviction,
-    # a miss or a rebuild; the combiner lanes advance a request per call
-    # either way
+    # its last call and rebuilds it once those keys would take it past 4k
+    # entries, so the room left under 4k counts down the keys until the next
+    # rebuild. How `advance` is called must not move an eviction, a miss or
+    # a rebuild, and no heap may pass the 4k its length is checked against;
+    # the combiner lanes advance a request per call either way
     trace = random_trace(np.random.default_rng(k), 2500, k + 1 + k // 2)
     for seed in (0, 1):
         bundle = heap_bundle(spec, trace, k, seed)
