@@ -69,8 +69,9 @@ class GuardPolicy(Policy):
     phase began. On a miss with a full cache:
 
     (a) if `unrequested` is empty, a new phase starts: shields drop,
-        `unrequested` refills with the whole cache, the snapshot is retaken
-        (this reset happens before the re-request check below);
+        `unrequested` refills with the whole cache in load order (that of
+        `ctx.cached`, so draws follow from the requests and seed alone), the
+        snapshot is retaken (this reset happens before the re-request check);
     (b) if the missed page was evicted earlier this phase, the victim is a
         uniform draw from `unrequested` and the page becomes guarded;
     (c) otherwise the base policy picks the victim among unguarded pages:

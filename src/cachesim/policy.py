@@ -6,9 +6,9 @@ policy records the eviction it chooses inside `choose_victim`; the engine
 gives no separate notice, and no wrapper sends one in its base's place: no
 package code calls `on_evict`. One engine, `EvictionContext`, replays every
 run: `simulate` drives one over the whole trace, and each switching combiner
-drives one per sub-policy, a request at a time. The engine owns the cache set
-and per-page recency, from which a policy reads the prediction attached to
-each page at its most recent request, and it is itself the context that
+drives one per sub-policy, a request at a time. The engine keeps each cached
+page's last request, whose keys are the cache in load order and whose values
+give the prediction attached to each page, and it is the context that
 `choose_victim` receives. A policy may evict any cached page outside the
 context's `excluded` set, which the guard sets to its shield set. A policy
 that evicts the page with the largest value attached at its last request
@@ -35,7 +35,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -88,12 +88,13 @@ class EvictionContext:
     context handed to that policy's `choose_victim`.
 
     Policies read `now` (index of the request that missed), `requested` (its
-    page), `cached`, `excluded` (cached pages they must not evict),
-    `candidates` (the cached pages outside `excluded`), `predictions` (the
-    bundle) and `last_used` (each page's most recent request index, so the
-    prediction attached to page p is the bundle's value at `last_used[p] - 1`).
-    These are the engine's live state: policies only read them, except that
-    the guard sets `excluded` to its shield set.
+    page), `last_used` (each cached page's most recent request index, so the
+    prediction attached to page p is the bundle's value at `last_used[p] - 1`),
+    `cached` (the keys of `last_used`: the cache, iterated in the order its
+    pages were loaded), `excluded` (cached pages they must not evict),
+    `candidates` (the cached pages outside `excluded`) and `predictions` (the
+    bundle). These are the engine's live state: policies only read them,
+    except that the guard sets `excluded` to its shield set.
 
     When the policy names a `victim_order`, each request i has one integer
     key, `i - value * (n + 2)`. Since 1 <= i <= n, keys order exactly like
@@ -126,10 +127,10 @@ class EvictionContext:
         self.rng = rng
         self.now = 0
         self.requested = -1
-        self.cached: set[PageId] = set()
+        self.last_used: dict[PageId, int] = {}
+        self.cached = self.last_used.keys()
         self.excluded: set[PageId] | frozenset = frozenset()
         self.predictions = bundle
-        self.last_used: dict[PageId, int] = {}
         self.misses = 0
         self.served = 0
         self.last_evict_t = 0
@@ -146,7 +147,7 @@ class EvictionContext:
             self._heap, self._keys = [], _victim_keys(trace, self._order)
 
     @property
-    def candidates(self) -> set[PageId]:
+    def candidates(self) -> AbstractSet[PageId]:
         """The cached pages the policy may evict."""
         return self.cached - self.excluded if self.excluded else self.cached
 
@@ -154,7 +155,6 @@ class EvictionContext:
         """Serve every request after the last one served, up to index `until`."""
         k = self.k
         rng = self.rng
-        cache = self.cached
         last_used = self.last_used
         hook, choose = self._calls
         misses = self.misses
@@ -166,23 +166,22 @@ class EvictionContext:
         # advances one request per call
         for p in self._pages[i:until]:
             i += 1
-            if p in cache:
+            if p in last_used:
                 last_used[p] = i
                 if hook is not None:
                     hook(p, i, True)
             else:
                 misses += 1
-                if len(cache) == k:
+                if len(last_used) == k:
                     self.now = i
                     self.requested = p
                     victim = choose(self, rng)
-                    if victim not in cache:
+                    if victim not in last_used:
                         raise ContractViolation(
                             f"{self.policy.name} chose non-candidate victim {victim!r} at t={i}"
                         )
-                    cache.discard(victim)
+                    del last_used[victim]
                     evict_t, evict_victim = i, victim
-                cache.add(p)
                 last_used[p] = i
                 if hook is not None:
                     hook(p, i, False)
@@ -198,15 +197,14 @@ class EvictionContext:
         the new requests' keys into the heap, pops dead entries for good and
         pushes live excluded ones back.
         """
-        heap, cache, last_used, excluded = self._heap, self.cached, self.last_used, self.excluded
+        heap, last_used, excluded = self._heap, self.last_used, self.excluded
         pages = self._pages
         m = len(pages) + 2
         if heap is None:
             order = self._order
             best = None  # no sentinel: values may be any integers
-            for p in cache:
+            for p, t in last_used.items():
                 if p not in excluded:
-                    t = last_used[p]
                     key = t - order[t - 1] * m
                     if best is None or key < best:
                         best = key
@@ -219,7 +217,7 @@ class EvictionContext:
             start, keys = self._synced, self._keys
             end = self._synced = self.now - 1 if self.now > self.served else self.served
             if len(heap) + end - start > 4 * self.k:
-                heap[:] = [keys[t - 1] for t in map(last_used.__getitem__, cache)]
+                heap[:] = [keys[t - 1] for t in last_used.values()]
                 heapify(heap)
                 self.rebuilds += 1
             elif end - start == 1:
@@ -233,7 +231,7 @@ class EvictionContext:
                     key = heap[0]
                     i = key % m
                     p = pages[i - 1]
-                    if last_used[p] == i and p in cache:
+                    if last_used.get(p) == i:
                         if p not in excluded:
                             return p
                         held.append(key)
@@ -298,8 +296,9 @@ class MarkerPolicy(Policy):
     """Randomized marking: pages are marked on request; when a miss finds all
     cached pages marked, all marks drop (a new marking phase) and the victim
     is drawn uniformly from the unmarked candidates. A cached page is marked
-    when its last request (`ctx.last_used`) is at or after the request that
-    last cleared the marks (0 before the first), so no request hook is needed."""
+    when its last request (its value in `ctx.last_used`, which holds only the
+    cached pages) is at or after the request that last cleared the marks (0
+    before the first), so no request hook is needed."""
 
     name = "marker"
 
@@ -311,7 +310,7 @@ class MarkerPolicy(Policy):
         unmarked = [p for p in candidates if last_used[p] < cleared]
         # no unmarked candidate: the marks drop (a new phase) when no cached
         # page is unmarked either; the draw is over all candidates either way
-        if not unmarked and not any(last_used[p] < cleared for p in ctx.cached):
+        if not unmarked and not any(t < cleared for t in last_used.values()):
             self._cleared = ctx.now
         pool = unmarked or list(candidates)
         pool.sort()

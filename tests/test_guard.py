@@ -310,3 +310,61 @@ def test_guard_work_is_constant_per_request(base, k):
     assert min(gaps) >= k
     assert guard.caught_up <= n
     assert guard.reset_pages <= n + k
+
+
+# the guarded specs the relabel tests replay, with predictions under which
+# the guard redirects; FITF's wrong answers, `marker` and `lrb` draw from
+# sorted pools, so only an order-keeping relabel leaves their draws alone
+RELABEL_SPECS = {
+    "guard:lru": lambda tr, k, s: None,
+    "guard:blind_oracle": lambda tr, k, s: synthetic_nrt(tr, 1.0, seed=s),
+    "guard:marker": lambda tr, k, s: None,
+    "guard:lrb": lambda tr, k, s: flip_labels(tr, k, 0.3, seed=s),
+    "guard:fitf": lambda tr, k, s: noisy_fitf(tr, k, 0.3, seed=s),
+    "guard:switch_rand(lrb,marker)": lambda tr, k, s: flip_labels(tr, k, 0.3, seed=s),
+}
+
+
+def relabelled_runs(spec, relabel):
+    """The (k, trace, seed) of each of 72 seeded runs of `spec` whose misses
+    or `phase_stats` differ between a random 800-request trace and the same
+    trace with each page p renamed `relabel(universe, t)[p]`, for the t-th of
+    six traces at each k in {2, 3, 5, 8}, three seeds each."""
+    differ = []
+    for k in (2, 3, 5, 8):
+        for t in range(6):
+            universe = k + 1 + t * k // 2
+            trace = random_trace(np.random.default_rng(1000 * k + t), 800, universe)
+            names = relabel(universe, t)
+            renamed = Trace([names[p] for p in trace.pages])
+            for seed in range(3):
+                got = []
+                for tr in (trace, renamed):
+                    bundle = RELABEL_SPECS[spec](tr, k, seed)
+                    res = simulate(build_policy(spec), tr, k, bundle, seed=seed,
+                                   compute_opt=False)
+                    got.append((res.misses, res.phase_stats))
+                if got[0] != got[1]:
+                    differ.append((k, t, seed))
+    return differ
+
+
+@pytest.mark.parametrize("spec", sorted(RELABEL_SPECS))
+def test_guarded_runs_keep_their_results_under_an_order_keeping_relabel(spec):
+    # the engine's cache iterates in load order, so a phase reset fills
+    # `unrequested` in an order that follows from the requests alone: page
+    # ids that keep their order but hash apart must give the same draws
+    differ = relabelled_runs(spec, lambda universe, t: [1024 * p + 7 for p in range(universe)])
+    assert differ == [], f"{len(differ)} of 72 runs differ, first {differ[:3]}"
+
+
+@pytest.mark.parametrize("spec", ("guard:lru", "guard:blind_oracle"))
+def test_unsorted_guarded_runs_keep_their_results_under_any_relabel(spec):
+    # `lru` and `blind_oracle` order by request indices and predictions only,
+    # so under them any renaming of the pages leaves every draw alone
+    def shuffled(universe, t):
+        ids = np.random.default_rng(t).permutation(universe)
+        return [int(i) * 977 + 3 for i in ids]
+
+    differ = relabelled_runs(spec, shuffled)
+    assert differ == [], f"{len(differ)} of 72 runs differ, first {differ[:3]}"

@@ -112,6 +112,8 @@ def check_against_reference(trace, k, regime, seed):
         want, _ = eviction_log(reference(), trace, k, bundle, seed, EagerEvictionContext)
         assert got == want, f"{spec}: first difference at eviction " + str(
             next(j for j, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b))
+        # the engine's `last_used` holds the cached pages and no others
+        assert len(engine.last_used) == min(k, trace.universe_size)
         rebuilds += engine.rebuilds
         shielded += getattr(policy, "max_guarded", 0)
     got = belady_simulate(trace, k)
