@@ -75,7 +75,9 @@ class GuardPolicy(Policy):
     (b) if the missed page was evicted earlier this phase, the victim is a
         uniform draw from `unrequested` and the page becomes guarded;
     (c) otherwise the base policy picks the victim among unguarded pages:
-        each phase reset hands the guarded set over as `ctx.excluded`.
+        each phase reset binds a fresh guarded set, which only grows within
+        the phase, and hands it over as `ctx.excluded`, so the engine may
+        hold back the shielded keys it pops until the next reset.
 
     Structural invariants (checked at each eviction, violations raise):
     guarded pages are never evicted mid-phase, the guarded set stays disjoint
@@ -159,8 +161,9 @@ class GuardPolicy(Policy):
             for p in items:
                 pos[p] = i
                 i += 1
-            self.guarded.clear()
-            ctx.excluded = self.guarded
+            # a fresh set, not the old one cleared: the engine holds back the
+            # keys it popped of shielded pages while `excluded` is one object
+            self.guarded = ctx.excluded = set()
             self.evicted_this_phase.clear()
             self._loads.clear()
             self._n = self._o = self._n_new = self._n_old = 0

@@ -10,14 +10,15 @@ drives one per sub-policy, a request at a time. The engine keeps each cached
 page's last request, whose keys are the cache in load order and whose values
 give the prediction attached to each page, and it is the context that
 `choose_victim` receives. A policy may evict any cached page outside the
-context's `excluded` set, which the guard sets to its shield set. A policy
-that evicts the page with the largest value attached at its last request
-(`blind_oracle`, `belady`, and `fitf` for its true furthest page) names those
-values in `victim_order` and takes its victim from `furthest`, which skips
-excluded pages. Above `SCAN_K` slots `furthest` fills a heap of keys built
-once per run and pops it, in amortised O(log k) a request, and `advance`
-does no heap work; up to `SCAN_K` it scans the candidates once, in O(k).
-Every other policy scans `candidates`.
+context's `excluded` set, which the guard sets to a fresh shield set at each
+phase reset. A policy that evicts the page with the largest value attached
+at its last request (`blind_oracle`, `belady`, and `fitf` for its true
+furthest page) names those values in `victim_order` and takes its victim
+from `furthest`, which skips excluded pages. Above `SCAN_K` slots `furthest`
+fills a heap of keys built once per run and pops it, in amortised O(log k)
+a request, holding the excluded keys it pops until `excluded` is another
+set, and `advance` does no heap work; up to `SCAN_K` it scans the
+candidates once, in O(k). Every other policy scans `candidates`.
 
 The `rng` that `begin_run` and `choose_victim` receive is the run's
 `DrawStream`, the one the engine is given (a combiner hands its own engine's
@@ -94,7 +95,9 @@ class EvictionContext:
     pages were loaded), `excluded` (cached pages they must not evict),
     `candidates` (the cached pages outside `excluded`) and `predictions` (the
     bundle). These are the engine's live state: policies only read them,
-    except that the guard sets `excluded` to its shield set.
+    except that the guard sets `excluded` to its shield set. A set assigned
+    to `excluded` may gain pages but must not lose any while it stays
+    assigned: to shrink it, assign another set object.
 
     When the policy names a `victim_order`, each request i has one integer
     key, `i - value * (n + 2)`. Since 1 <= i <= n, keys order exactly like
@@ -109,14 +112,20 @@ class EvictionContext:
     each, or by a rebuild from the cache when the heap would pass 4k
     entries, so it holds O(k). An entry is live while its page is cached and
     was last requested at its index; others are dropped when they reach the
-    top. `advance` does no heap work, so an eviction that does not call
-    `furthest` (a guard's redirect) costs the heap nothing.
+    top. A live entry of an excluded page that reaches the top is held out
+    of the heap while `excluded` stays the same set object, and goes back in
+    before the next pop once it is another, so a guard's shields are pushed
+    back once a phase, not at every eviction. Held keys count toward the 4k
+    entries, and a rebuild drops them. `advance` does no heap work, so an
+    eviction that does not call `furthest` (a guard's redirect) costs the
+    heap nothing.
     """
 
     __slots__ = ("now", "requested", "cached", "excluded", "predictions",
                  "last_used", "policy", "k", "rng", "misses", "served",
                  "last_evict_t", "last_evict_victim", "rebuilds",
-                 "_pages", "_order", "_heap", "_keys", "_synced", "_calls")
+                 "_pages", "_order", "_heap", "_keys", "_synced", "_calls",
+                 "_held", "_shields", "_m", "_cap")
 
     def __init__(self, policy: Policy, trace: Trace, k: int,
                  bundle: PredictionBundle | None,
@@ -137,12 +146,15 @@ class EvictionContext:
         self.last_evict_victim: PageId | None = None
         self.rebuilds = 0
         self._pages = trace.pages
+        self._m, self._cap = len(trace) + 2, 4 * k  # key modulus, heap bound
         # bound once per run, since a combiner lane calls advance() per request
         self._calls = (policy.on_request if policy.needs_request_hook else None,
                        policy.choose_victim)
         self._order = policy.victim_order(trace, bundle)
         self._heap = self._keys = None
         self._synced = 0  # requests whose keys the heap has taken in
+        self._held: list[int] = []  # live keys of `_shields`' pages, popped
+        self._shields = self.excluded  # the `excluded` they were held under
         if self._order is not None and k > SCAN_K:
             self._heap, self._keys = [], _victim_keys(trace, self._order)
 
@@ -195,11 +207,10 @@ class EvictionContext:
 
         At k <= `SCAN_K` it scans the candidates' keys. Above it, it takes
         the new requests' keys into the heap, pops dead entries for good and
-        pushes live excluded ones back.
+        holds live excluded ones until `excluded` is another set object.
         """
         heap, last_used, excluded = self._heap, self.last_used, self.excluded
-        pages = self._pages
-        m = len(pages) + 2
+        pages, m = self._pages, self._m
         if heap is None:
             order = self._order
             best = None  # no sentinel: values may be any integers
@@ -214,31 +225,35 @@ class EvictionContext:
             # take in the requests served since the last call: inside an
             # eviction (`advance` stores `served` as it returns) those before
             # `now`, outside one every served request
-            start, keys = self._synced, self._keys
-            end = self._synced = self.now - 1 if self.now > self.served else self.served
-            if len(heap) + end - start > 4 * self.k:
-                heap[:] = [keys[t - 1] for t in last_used.values()]
-                heapify(heap)
-                self.rebuilds += 1
-            elif end - start == 1:
-                heappush(heap, keys[start])
-            else:
-                for key in keys[start:end]:
-                    heappush(heap, key)
-            held = []
-            try:
-                while heap:
-                    key = heap[0]
-                    i = key % m
-                    p = pages[i - 1]
-                    if last_used.get(p) == i:
-                        if p not in excluded:
-                            return p
-                        held.append(key)
-                    heappop(heap)
-            finally:
+            start, now, served = self._synced, self.now, self.served
+            end = self._synced = now - 1 if now > served else served
+            held = self._held
+            if excluded is not self._shields:
+                # a new shield set, which may leave out pages of the old one
+                self._shields = excluded
                 for key in held:
                     heappush(heap, key)
+                held.clear()
+            if len(heap) + len(held) + end - start > self._cap:
+                keys = self._keys
+                heap[:] = [keys[t - 1] for t in last_used.values()]
+                heapify(heap)
+                held.clear()
+                self.rebuilds += 1
+            elif end - start == 1:
+                heappush(heap, self._keys[start])
+            else:
+                for key in self._keys[start:end]:
+                    heappush(heap, key)
+            while heap:
+                key = heap[0]
+                i = key % m
+                p = pages[i - 1]
+                if last_used.get(p) == i:
+                    if p not in excluded:
+                        return p
+                    held.append(key)
+                heappop(heap)
         raise ContractViolation(
             f"{self.policy.name} found no evictable page at t={self.now}"
         )

@@ -20,8 +20,9 @@ timings.
 The plain and check-in readers and the next-occurrence pass as per-line and
 per-request loops are the rules the package's C-level passes must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
-policy), the request and occurrence helpers, the random and cyclic trace
-generators, the generator formulas of label flipping and error measurement,
+policy), the request and occurrence helpers, a run's eviction log, the
+random and cyclic trace generators, the hot-page instance, the generator
+formulas of label flipping and error measurement,
 and the comparison of the optimum with a guarded run's old-page evictions
 live here too, because only the tests use them.
 """
@@ -42,6 +43,7 @@ from cachesim import (
     PredictionError,
     Trace,
 )
+from cachesim.draws import DrawStream
 from cachesim.guard import GuardPolicy, PhaseStats
 from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext
@@ -235,6 +237,34 @@ def random_trace(rng: np.random.Generator, n: int, universe: int,
         else:
             pages.append(p)
     return Trace(pages[:n])
+
+
+def eviction_log(policy, trace, k, bundle, seed, engine_cls=EvictionContext):
+    """Every (request index, victim) of one run, served a request per
+    `advance` call, and the engine that ran it."""
+    engine = engine_cls(policy, trace, k, bundle, DrawStream(seed))
+    log = []
+    for i in range(1, len(trace) + 1):
+        engine.advance(i)
+        if engine.last_evict_t == i:
+            log.append((i, engine.last_evict_victim))
+    return log, engine
+
+
+def hot_page_instance(n: int, k: int, seed: int) -> tuple[Trace, PredictionBundle]:
+    """A trace and NRT bundle on which a guarded `blind_oracle` shields many
+    pages at once: each request is, with probability 1/2, a uniform draw from
+    k // 2 hot pages, and otherwise from 2k other pages. The bundle says
+    n + 1 ("never again") at every hot request and gives the true next
+    request elsewhere, so the base evicts hot pages first and the guard
+    shields them as they come back. Drawn from `default_rng(seed)`."""
+    rng = np.random.default_rng(seed)
+    hot = k // 2
+    is_hot = rng.random(n) < 0.5
+    pages = np.where(is_hot, rng.integers(0, hot, n), hot + rng.integers(0, 2 * k, n))
+    trace = Trace(pages.tolist())
+    nrt = [n + 1 if h else v for h, v in zip(is_hot.tolist(), trace.next_occurrence)]
+    return trace, PredictionBundle(PredictionKind.NRT, nrt=nrt)
 
 
 def cyclic_trace(num_pages: int, n: int) -> Trace:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cachesim.policy
 from cachesim import (
     ContractViolation,
     Policy,
@@ -39,7 +42,8 @@ from cachesim.policy import (
     SwitchRandomizedPolicy,
 )
 from cachesim.predict import PredictionKind
-from .reference_impls import lru_misses, random_trace
+from .reference_impls import eviction_log, lru_misses, random_trace
+from .test_pinned_decisions import _bundle as seeded_bundle
 
 
 def test_lru_frozen_example():
@@ -295,6 +299,38 @@ def test_combiner_parameter_validation():
 def test_switch_det_bound_must_be_finite_and_positive(param):
     with pytest.raises(ValueError, match="bound must be finite and positive"):
         build_policy(f"switch_det(lru,marker,{param})")
+
+
+@pytest.mark.parametrize("k", (3, 10, 100))
+def test_choose_victim_wrapped_as_a_plain_function_keeps_every_decision(k):
+    # The benchmark's tracer times victim choice by setting a plain function
+    # that calls the class's `choose_victim` in its place on every policy
+    # class that defines one, and on `GuardPolicy`. A `choose_victim` that is
+    # not a plain method (say, another class's function bound to the name)
+    # breaks under that wrapping while every unwrapped run still passes
+    trace = random_trace(np.random.default_rng(k), 2000, k + 1 + k // 2)
+
+    def evictions(spec):  # on a fresh bundle: a FITF bundle draws on across runs
+        policy = build_policy(spec)
+        bundle = seeded_bundle(policy.requires, trace, k, seed=k)
+        return eviction_log(policy, trace, k, bundle, k)[0]
+
+    specs = [p + s for p in ("", "guard:") for s in ("blind_oracle", "belady", "fitf", "lrb")]
+    want = {spec: evictions(spec) for spec in specs}
+    classes = [cls for cls in vars(cachesim.policy).values()
+               if isinstance(cls, type) and issubclass(cls, Policy)
+               and cls is not Policy and "choose_victim" in vars(cls)] + [GuardPolicy]
+    with ExitStack() as stack:
+        for cls in classes:
+            fn = getattr(cls, "choose_victim")
+
+            def passing(*args, fn=fn):
+                return fn(*args)
+
+            stack.enter_context(mock.patch.object(cls, "choose_victim", passing))
+        got = {spec: evictions(spec) for spec in specs}
+    assert got == want
+    assert all(want.values())
 
 
 # --- policy spec grammar -----------------------------------------------------

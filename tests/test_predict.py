@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cachesim import (
     PredictionBundle,
     Trace,
+    build_policy,
     flip_labels,
     inverted_nrt,
     measure_error,
@@ -31,11 +32,13 @@ from cachesim.oracle import belady_labels
 from cachesim.policy import EvictionContext, FitFFollowerPolicy
 from cachesim.predict import NRT_CAP, PredictionKind, binary_from_nrt, load_bundle_csv
 from .reference_impls import (
+    eviction_log,
     fitf_page,
     generator_flip_labels,
     generator_measure_error,
     random_trace,
 )
+from .test_pinned_decisions import SPECS as PINNED_SPECS, _bundle as seeded_bundle
 
 
 def replay_fitf(trace, k, bundle, until, seed=0):
@@ -175,6 +178,35 @@ def test_noisy_fitf_single_candidate_never_counts_as_wrong():
     tr = Trace([0, 1, 0])
     bundle = noisy_fitf(tr, 1, 1.0, seed=0)
     assert replay_fitf(tr, 1, bundle, 2) == ((1, 0), [(2, 0, 0)])
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       k=st.sampled_from((1, 2, 3, 5, 6, 11)), spread=st.integers(0, 100))
+def test_same_seed_and_fresh_bundles_make_the_same_evictions(seed, n, k, spread):
+    # every spec of the pinned grammar, run twice with one seed, each time on
+    # bundles built afresh from that seed
+    trace = random_trace(np.random.default_rng(seed), n, k + 1 + spread * k // 100)
+    for spec in PINNED_SPECS:
+        runs = []
+        for _ in range(2):
+            policy = build_policy(spec)
+            bundle = seeded_bundle(policy.requires, trace, k, seed)
+            runs.append(eviction_log(policy, trace, k, bundle, seed)[0])
+        assert runs[0] == runs[1], spec
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: a FITF bundle keeps its own draw stream and query "
+    "counts, so a second run on it draws on from where the first stopped"))
+@pytest.mark.parametrize("spec", ("fitf", "guard:fitf"))
+def test_a_reused_fitf_bundle_gives_an_identical_second_run(spec):
+    trace = random_trace(np.random.default_rng(10), 2000, 16)
+    bundle = noisy_fitf(trace, 10, 0.5, seed=0)
+    first, second = (eviction_log(build_policy(spec), trace, 10, bundle, 0)
+                     for _ in range(2))
+    assert first[1].misses == second[1].misses
+    assert first[0] == second[0]
 
 
 def test_binary_from_nrt_explicit_boundary():
