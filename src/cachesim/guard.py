@@ -13,12 +13,22 @@ wrapper never intervenes, so a well-predicted run costs exactly what the base
 alone would cost. Against arbitrary (even adversarial) eviction choices, the
 redirected evictions keep the total cost within 2*harmonic(k) + 2 times the
 offline optimum.
+
+Cost: the guard does nothing on a hit and works only at evictions. The order
+of the unrequested pages matters only to a redirect's draw, so until a run's
+first redirect the guard keeps none: the unrequested list stays each phase's
+reset list, a copy of the cache, and a cursor over it passes the pages
+requested since the reset or evicted, each once, to tell when the phase ends.
+At the first redirect it replays the phase once, in O(phase length), into the
+order and index map that a hook on every hit would have kept, and from then on
+it keeps them at each eviction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .policy import Policy, RunResult
 from .trace import PageId
@@ -65,13 +75,20 @@ class GuardPolicy(Policy):
     State per phase: `unrequested` (cached pages not yet touched this phase,
     a list whose indexes `_pos` maps, so a page leaves it in O(1) and a
     redirect draws from it uniformly), `guarded` (pages immune to eviction),
-    `evicted_this_phase`, and the `old_pages` cache snapshot taken when the
-    phase began. On a miss with a full cache:
+    `evicted_this_phase` (each page evicted this phase and not yet back, with
+    the request that evicted it, in eviction order), and the `old_pages`
+    cache snapshot taken when the phase began. Until the run's first
+    redirect the guard is lazy (`_lazy`): `unrequested` stays the list the
+    phase reset filled, `_pos` stays empty, and the pages of that list not
+    yet touched are those still cached with a last request before the
+    reset. On a miss with a full cache:
 
-    (a) if `unrequested` is empty, a new phase starts: shields drop,
-        `unrequested` refills with the whole cache in load order (that of
-        `ctx.cached`, so draws follow from the requests and seed alone), the
-        snapshot is retaken (this reset happens before the re-request check);
+    (a) if `unrequested` is empty (lazy: a cursor over the reset list has
+        passed every page requested since the reset or evicted), a new
+        phase starts: shields drop, `unrequested` refills with the whole
+        cache in load order (that of `ctx.cached`, so draws follow from the
+        requests and seed alone), the snapshot is retaken (this reset
+        happens before the re-request check);
     (b) if the missed page was evicted earlier this phase, the victim is a
         uniform draw from `unrequested` and the page becomes guarded;
     (c) otherwise the base policy picks the victim among unguarded pages:
@@ -86,10 +103,19 @@ class GuardPolicy(Policy):
 
     Cost: nothing per hit. The guard takes no request hook of its own (it
     asks for one only when its base does, and passes it on). An eviction is
-    one Python frame besides the base's choice: a C-level pass over the
-    requests since the previous eviction, O(1) Python work per page it
-    removes from `unrequested` (at most k per phase), and O(1) to record the
-    eviction. A phase reset is O(k).
+    one Python frame besides the base's choice. While lazy, it steps the
+    cursor (each page of the reset list once, plus one look that stops it)
+    and records the eviction in O(1), and a phase reset is one C-level copy
+    of the cache and its snapshot. At the first redirect, the guard replays
+    the phase so far once: it indexes the reset list and, in time order,
+    takes out each gap's first touches (a C-level `filter` over the slice)
+    and each victim, checks that what is left is what the cursor counts as
+    unrequested, and is eager from then on. An eager eviction makes a
+    C-level pass over the requests since the previous eviction, O(1) Python
+    work per page it removes from `unrequested` (at most k per phase), and
+    O(1) to record the eviction, and an eager phase reset is O(k). The
+    switch is per run, not per phase: runs that redirect at all tend to do
+    so in most phases, and would replay nearly every one.
 
     The guard records only the evictions it chooses, so its base must not be
     a guard itself: the inner guard would never learn of the outer one's
@@ -125,8 +151,12 @@ class GuardPolicy(Policy):
         self._seen = 0  # requests accounted for
         self.unrequested: list[PageId] = []
         self._pos: dict[PageId, int] = {}  # page -> its index in `unrequested`
+        self._lazy = True  # until the run's first redirect
+        self._cursor = 0  # lazy: no page before it in `unrequested` is unrequested
+        self._start = 0  # lazy: the request that opened the phase
         self.guarded: set[PageId] = set()
-        self.evicted_this_phase: set[PageId] = set()
+        # page -> the request that evicted it, in eviction order
+        self.evicted_this_phase: dict[PageId, int] = {}
         self.old_pages: set[PageId] = set()
         self.phase = 0
         self.max_guarded = 0
@@ -141,26 +171,44 @@ class GuardPolicy(Policy):
         page, now = ctx.requested, ctx.now
         items, pos = self.unrequested, self._pos
         seen = self._seen
-        # Catch up with the hits since the previous eviction (none when that
-        # was the previous request): each page touched for the first time
-        # this phase leaves `unrequested` in request order, as on its hit.
-        if items and now - 1 > seen:
-            for p in filter(pos.__contains__, self._pages[seen:now - 1]):
-                idx = pos.pop(p)
-                last = items.pop()
-                if idx < len(items):
-                    items[idx] = last
-                    pos[last] = idx
+        if pos:  # eager, with unrequested pages left (a lazy guard indexes none)
+            # Catch up with the hits since the previous eviction (none when
+            # that was the previous request): each page touched for the first
+            # time this phase leaves `unrequested` in request order, as on
+            # its hit.
+            if now - 1 > seen:
+                for p in filter(pos.__contains__, self._pages[seen:now - 1]):
+                    idx = pos.pop(p)
+                    last = items.pop()
+                    if idx < len(items):
+                        items[idx] = last
+                        pos[last] = idx
+        elif self._lazy:
+            # `unrequested` is still the list the phase reset filled. The
+            # cursor passes each page requested since the reset or gone from
+            # the cache; the phase is over once it has passed them all.
+            last_used, start, c = ctx.last_used, self._start, self._cursor
+            end = len(items)
+            while c < end and last_used.get(items[c], start) >= start:
+                c += 1
+            self._cursor = c
+            if c == end:
+                items.clear()
+            elif page in self.evicted_this_phase:
+                items, pos = self._replay(ctx)
         if not items:  # a new phase; `pos` is as empty as `items`
             c_q = len(self._loads) if self.phase else len(ctx.cached)
             self._closed.append((self.phase, c_q, self._n, self._o,
                                  self._n_new, self._n_old))
             self.old_pages = set(ctx.cached)
             items.extend(ctx.cached)
-            i = 0
-            for p in items:
-                pos[p] = i
-                i += 1
+            if self._lazy:
+                self._cursor, self._start = 0, now
+            else:
+                i = 0
+                for p in items:
+                    pos[p] = i
+                    i += 1
             # a fresh set, not the old one cleared: the engine holds back the
             # keys it popped of shielded pages while `excluded` is one object
             self.guarded = ctx.excluded = set()
@@ -181,7 +229,7 @@ class GuardPolicy(Policy):
                 raise InvariantViolation(f"guarded page {victim!r} evicted mid-phase")
             guarded.add(page)
             # re-admission: the page is back in the cache after this request
-            evicted.discard(page)
+            del evicted[page]
             self.guard_events += 1
             if len(guarded) > self.max_guarded:
                 self.max_guarded = len(guarded)
@@ -202,7 +250,7 @@ class GuardPolicy(Policy):
             if idx < len(items):
                 items[idx] = last
                 pos[last] = idx
-        evicted.add(victim)
+        evicted[victim] = now
         if page in old:
             self._o += 1
         else:
@@ -219,6 +267,48 @@ class GuardPolicy(Policy):
             self._loads[page] = loads
         self._seen = now
         return victim
+
+    def _replayed(self, upto: int) -> tuple[list[PageId], dict[PageId, int]]:
+        """`unrequested` and its index map as the eager guard holds them once
+        caught up with request `upto` (at or after the phase's last
+        eviction), read from the lazy state without changing it: the reset
+        list indexed, then, in time order, each gap's first touches and each
+        victim taken out, as the catch-ups and evictions would have."""
+        items = list(self.unrequested)
+        pos = dict(zip(items, range(len(items))))
+        pages, prev = self._pages, self._start
+        for victim, t in chain(self.evicted_this_phase.items(), ((None, upto + 1),)):
+            if t - 1 > prev:
+                for p in filter(pos.__contains__, pages[prev:t - 1]):
+                    idx = pos.pop(p)
+                    last = items.pop()
+                    if idx < len(items):
+                        items[idx] = last
+                        pos[last] = idx
+            idx = pos.pop(victim, None)
+            if idx is not None:
+                last = items.pop()
+                if idx < len(items):
+                    items[idx] = last
+                    pos[last] = idx
+            prev = t
+        return items, pos
+
+    def _replay(self, ctx):
+        """Switch to the eager state at the run's first redirect: replay the
+        phase so far into `unrequested` and its index map, and check that it
+        holds exactly the pages the cursor still counts as unrequested."""
+        last_used, start = ctx.last_used, self._start
+        want = {p for p in self.unrequested[self._cursor:]
+                if last_used.get(p, start) < start}
+        items, pos = self._replayed(ctx.now - 1)
+        if set(items) != want:
+            raise InvariantViolation(
+                f"replay at t={ctx.now} leaves {sorted(set(items) ^ want)!r} "
+                "out of step with the pages not requested since the phase began"
+            )
+        self.unrequested, self._pos, self._lazy = items, pos, False
+        return items, pos
 
     def on_request(self, page, now, hit):
         self.base.on_request(page, now, hit)

@@ -113,12 +113,12 @@ class EvictionContext:
     entries, so it holds O(k). An entry is live while its page is cached and
     was last requested at its index; others are dropped when they reach the
     top. A live entry of an excluded page that reaches the top is held out
-    of the heap while `excluded` stays the same set object, and goes back in
-    before the next pop once it is another, so a guard's shields are pushed
-    back once a phase, not at every eviction. Held keys count toward the 4k
-    entries, and a rebuild drops them. `advance` does no heap work, so an
-    eviction that does not call `furthest` (a guard's redirect) costs the
-    heap nothing.
+    of the heap while `excluded` stays the same set object, and goes back in,
+    if still live, before the next pop once it is another, so a guard's
+    shields are pushed back once a phase, not at every eviction. Held keys
+    count toward the 4k entries, and a rebuild drops them. `advance` does no
+    heap work, so an eviction that does not call `furthest` (a guard's
+    redirect) costs the heap nothing.
     """
 
     __slots__ = ("now", "requested", "cached", "excluded", "predictions",
@@ -207,7 +207,8 @@ class EvictionContext:
 
         At k <= `SCAN_K` it scans the candidates' keys. Above it, it takes
         the new requests' keys into the heap, pops dead entries for good and
-        holds live excluded ones until `excluded` is another set object.
+        holds live excluded ones until `excluded` is another set object,
+        then pushes back those still live.
         """
         heap, last_used, excluded = self._heap, self.last_used, self.excluded
         pages, m = self._pages, self._m
@@ -229,10 +230,13 @@ class EvictionContext:
             end = self._synced = now - 1 if now > served else served
             held = self._held
             if excluded is not self._shields:
-                # a new shield set, which may leave out pages of the old one
+                # a new shield set, which may leave out pages of the old one;
+                # a held key whose page was requested or evicted since is dead
                 self._shields = excluded
                 for key in held:
-                    heappush(heap, key)
+                    i = key % m
+                    if last_used.get(pages[i - 1]) == i:
+                        heappush(heap, key)
                 held.clear()
             if len(heap) + len(held) + end - start > self._cap:
                 keys = self._keys

@@ -642,21 +642,37 @@ class _RandomSet:
         return self._items[rng.integers(len(self._items))]
 
 
+def unrequested_at(guard, t: int) -> list[PageId]:
+    """The unrequested pages, in order, that the eager guard holds after
+    request t, read from the lazy `GuardPolicy` `guard` without changing it,
+    so that an audit never triggers its replay: while the guard is lazy, its
+    replay of the phase up to request t; once it is eager (and for
+    `EagerGuardPolicy`), its list itself, which `catch_up` brings up to
+    request t."""
+    if getattr(guard, "_lazy", False):
+        return guard._replayed(t)[0]
+    return list(guard.unrequested)
+
+
 def catch_up(guard, t: int) -> None:
     """Account the lazy `GuardPolicy` `guard` for the requests after the last
     one it accounted for, up to and including request t, as its next
     eviction would, so that an audit can read its state after any request.
     Before the first eviction (phase 0) they are cold fills and hits on
     them, so each distinct page was loaded once. After it, every miss
-    evicts, so they are hits, and each page touched for the first time this
-    phase leaves `unrequested`, in request order, as it would have on its
-    hit."""
+    evicts, so they are hits, and once the guard is eager each page touched
+    for the first time this phase leaves `unrequested`, in request order, as
+    it would have on its hit. Until its first redirect the guard keeps no
+    order to update (read it with `unrequested_at`), and it is left alone."""
     seen = guard._seen
     if t > seen:
-        window, guard._seen = guard._pages[seen:t], t
         if not guard.phase:
-            guard._loads.update(dict.fromkeys(window, 1))
+            guard._loads.update(dict.fromkeys(guard._pages[seen:t], 1))
+            guard._seen = t
             return
+        if guard._lazy:
+            return
+        window, guard._seen = guard._pages[seen:t], t
         items, pos = guard.unrequested, guard._pos
         for page in filter(pos.__contains__, window):
             idx = pos.pop(page)
@@ -803,29 +819,43 @@ def opt_against_old_evictions(phases: list[PhaseStats],
 class CountingGuardPolicy(GuardPolicy):
     """`GuardPolicy` that counts its work per run, leaving its decisions
     alone: the request index of every phase reset (`resets`), the pages the
-    resets put into `unrequested` (`reset_pages`) and the pages the catch-up
-    passes take out of it (`caught_up`). Each eviction's counts are read
-    from the guard's state before and after it, and that state must agree:
-    the catch-up removes exactly the unrequested pages hit since the
-    previous eviction, and a reset refills the set with the whole cache."""
+    resets put into `unrequested` (`reset_pages`), the unrequested pages hit
+    since the previous eviction (`caught_up`), the evictions, the pages the
+    lazy cursor looked at (`cursor_steps`), the replays that switched the
+    guard to its eager state (`replays`), and the most pages its index map
+    held after an eviction (`indexed`). Each eviction's counts are read from
+    the guard's state before and after it, through `unrequested_at`, and
+    that state must agree: the pages hit since the previous eviction and the
+    victim leave the unrequested set, and a reset refills it with the whole
+    cache."""
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
         self.resets: list[int] = []
-        self.reset_pages = 0
-        self.caught_up = 0
+        self.reset_pages = self.caught_up = self.evictions = 0
+        self.cursor_steps = self.replays = self.indexed = 0
 
     def choose_victim(self, ctx, rng):
-        before = set(self.unrequested)
+        before = set(unrequested_at(self, self._seen))
         hit = before.intersection(self._pages[self._seen:ctx.now - 1])
-        phase = self.phase
+        # a guard without the lazy state counts as eager throughout
+        lazy = getattr(self, "_lazy", False)
+        phase, cursor, end = self.phase, getattr(self, "_cursor", 0), len(self.unrequested)
         victim = super().choose_victim(ctx, rng)
+        self.evictions += 1
         self.caught_up += len(hit)
+        after = set(unrequested_at(self, ctx.now))
         if self.phase != phase:
             assert hit == before, "a phase reset while pages were unrequested"
-            assert set(self.unrequested) == ctx.cached - {victim}
+            assert after == ctx.cached - {victim}
             self.resets.append(ctx.now)
             self.reset_pages += len(ctx.cached)
         else:
-            assert set(self.unrequested) == before - hit - {victim}
+            assert after == before - hit - {victim}
+        if lazy:
+            # the cursor passes pages to the list's end at a reset, and
+            # otherwise stops at a page it looked at
+            self.cursor_steps += end - cursor if self.phase != phase else self._cursor - cursor + 1
+            self.replays += not self._lazy
+        self.indexed = max(self.indexed, len(self._pos))
         return victim

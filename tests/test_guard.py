@@ -312,6 +312,23 @@ def test_guard_work_is_constant_per_request(base, k):
     assert guard.reset_pages <= n + k
 
 
+@pytest.mark.parametrize("k", [10, 100, 1000])
+def test_well_predicted_guard_never_indexes_a_page(k):
+    # Under perfect predictions the guard never redirects, so until a run's
+    # first redirect it keeps `unrequested` as each phase's reset list and
+    # indexes no page: a cursor passes the pages requested since the reset
+    # or gone from the cache, each at most once a phase, and stops at most
+    # once per eviction on a page still unrequested
+    n = 4 * k + 2000
+    tr = random_trace(np.random.default_rng(k), n, k + 1 + k // 2)
+    guard = CountingGuardPolicy(build_policy("blind_oracle"))
+    res = simulate(guard, tr, k, perfect_nrt(tr), seed=k)
+    assert res.misses == res.opt_misses and guard.guard_events == 0
+    assert len(guard.resets) >= 2
+    assert guard.indexed == 0 and guard.replays == 0
+    assert guard.cursor_steps <= guard.reset_pages + guard.evictions
+
+
 # the guarded specs the relabel tests replay, with predictions under which
 # the guard redirects; FITF's wrong answers, `marker` and `lrb` draw from
 # sorted pools, so only an order-keeping relabel leaves their draws alone

@@ -9,7 +9,12 @@ the compositions below, both must evict the same pages at the same requests,
 count the same redirects, shielded pages and phase counters, and, at every
 request once the lazy guard has caught up with it, hold the same
 `unrequested` list in the same order, the same `_loads` and the same phase
-state.
+state. Until its first redirect the lazy guard keeps no order, and its list
+is read through `unrequested_at`, which replays the phase without changing
+the guard. A run whose predictions turn from exact to inverted at a phase
+start, mid-phase or at a phase's last eviction makes its first redirect late
+in the run, and from then on must still match the eager guard. A replay
+that leaves the list out of step with the cursor stops the run.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from cachesim import (
     flip_labels,
     inverted_nrt,
     noisy_fitf,
+    perfect_nrt,
     synthetic_nrt,
 )
 from cachesim.draws import DrawStream
@@ -42,12 +48,15 @@ from cachesim.policy import (
     SwitchDeterministicPolicy,
     SwitchRandomizedPolicy,
 )
+from cachesim.predict import PredictionBundle, PredictionKind
 from .reference_impls import (
+    CountingGuardPolicy,
     EagerEvictionContext,
     EagerGuardPolicy,
     EagerMarkerPolicy,
     catch_up,
     random_trace,
+    unrequested_at,
 )
 
 # spec -> (the eager reference, the kind of predictions it reads)
@@ -90,8 +99,8 @@ def guards(policy):
         yield from guards(sub)
 
 
-def state(guard) -> tuple:
-    return (list(guard.unrequested), dict(guard._loads),
+def state(guard, t: int) -> tuple:
+    return (unrequested_at(guard, t), dict(guard._loads),
             (guard.phase, guard._n, guard._o, guard._n_new, guard._n_old),
             list(guard._closed), set(guard.guarded), set(guard.evicted_this_phase),
             set(guard.old_pages), guard.guard_events, guard.max_guarded)
@@ -122,7 +131,7 @@ def eager_run(spec, trace, k, seed):
     states = []
     with mock.patch.object(cachesim.policy, "EvictionContext", EagerEvictionContext):
         log = replay(policy, EagerEvictionContext, trace, k, make_bundle(kind, trace, k, seed),
-                     seed, lambda t: states.append([state(g) for g in guards(policy)]))
+                     seed, lambda t: states.append([state(g, t) for g in guards(policy)]))
     return policy, log, states
 
 
@@ -148,7 +157,7 @@ def check_lazy_against_eager(spec, trace, k, seed):
     def audit(t):
         for g in guards(audited):
             catch_up(g, t)
-        got_states.append([state(g) for g in guards(audited)])
+        got_states.append([state(g, t) for g in guards(audited)])
 
     got = replay(audited, EvictionContext, trace, k, make_bundle(kind, trace, k, seed), seed, audit)
     assert got == want
@@ -192,3 +201,66 @@ def test_lazy_guard_matches_eager_guard_under_pressure(spec):
     assert len(log) > 300 and not isinstance(log[-1], str)
     outer = next(guards(eager))
     assert (outer.guard_events > 0) == (spec != "guard:belady")
+
+
+def cut_bundle(trace, cut):
+    """Next-request-time predictions, exact for the first `cut` requests and
+    inverted after them."""
+    exact, inverted = perfect_nrt(trace).nrt, inverted_nrt(trace).nrt
+    return PredictionBundle(PredictionKind.NRT, nrt=exact[:cut] + inverted[cut:])
+
+
+class SwitchRecordingGuard(GuardPolicy):
+    """`GuardPolicy` that records the phase and request of its replay."""
+
+    def _replay(self, ctx):
+        self.switched = (self.phase, ctx.now)
+        return super()._replay(ctx)
+
+
+@pytest.mark.parametrize("where", ("phase start", "mid-phase", "last eviction of a phase"))
+@pytest.mark.parametrize("k", (2, 10, 100, 1000))
+def test_late_first_redirect_matches_eager_guard(k, where):
+    # the cut falls in the first phase, from a third of the exact run's
+    # phases on (and not phase 1), with evictions after the one that opened
+    # it; at k = 2 such a phase has one, so mid-phase is its last eviction
+    trace = random_trace(np.random.default_rng(k), 16 * k + 2000, k + 1 + k // 2)
+    exact = CountingGuardPolicy(BlindOraclePolicy())
+    evictions = [t for t, _ in replay(exact, EvictionContext, trace, k, perfect_nrt(trace), k)]
+    resets = exact.resets
+    assert exact.guard_events == 0 and len(resets) >= 4
+    j = next(j for j in range(max(1, len(resets) // 3), len(resets) - 1)
+             if any(resets[j] < t < resets[j + 1] for t in evictions))
+    inside = [t for t in evictions if resets[j] < t < resets[j + 1]]
+    # the first request whose prediction is inverted
+    first = {"phase start": resets[j], "mid-phase": inside[len(inside) // 2],
+             "last eviction of a phase": inside[-1]}[where]
+    bundle = cut_bundle(trace, first - 1)
+
+    eager = EagerGuardPolicy(BlindOraclePolicy())
+    want = replay(eager, EagerEvictionContext, trace, k, bundle, k)
+    lazy = SwitchRecordingGuard(BlindOraclePolicy())
+    got = replay(lazy, EvictionContext, trace, k, bundle, k)
+    assert got == want
+    assert not isinstance(got[-1], str)
+    assert lazy.phase_stats == eager.phase_stats
+    assert (lazy.guard_events, lazy.max_guarded) == (eager.guard_events, eager.max_guarded)
+    # the run redirected, first after the cut and in a phase past the first
+    assert lazy.guard_events > 0 and not lazy._lazy
+    phase, t = lazy.switched
+    assert t >= first and phase >= 2
+
+
+class DroppingReplayGuard(GuardPolicy):
+    """`GuardPolicy` whose replay loses the first unrequested page."""
+
+    def _replayed(self, upto):
+        items, pos = super()._replayed(upto)
+        return items[1:], pos
+
+
+def test_a_replay_out_of_step_with_the_cursor_is_caught():
+    trace = random_trace(np.random.default_rng(11), 2000, 7)
+    log = replay(DroppingReplayGuard(BlindOraclePolicy()), EvictionContext, trace, 4,
+                 inverted_nrt(trace), 1)
+    assert isinstance(log[-1], str) and log[-1].startswith("replay at t=")

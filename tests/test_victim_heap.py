@@ -24,8 +24,9 @@ Counted, each heap takes in at most one push a request, pops no more
 entries than its pushes and rebuilds put in, and rebuilds at most n / 3 + k
 entries; the optimum's searches clear at most one stale flag per eviction.
 On an instance whose base evicts the pages that come back first, the
-guard's shielded keys are pushed back once a phase, and the guarded base
-does at most one heap operation a request more than the base alone.
+guard's shielded keys are pushed back once a phase, and only while live,
+and the guarded base does at most one heap operation a request more than
+the base alone.
 """
 
 from __future__ import annotations
@@ -325,16 +326,22 @@ def test_small_caches_keep_no_heap(spec, k):
 
 
 @contextmanager
-def counted_heaps(module):
+def counted_heaps(module, on_pushback=None):
     """Count the heap work of `module`: pushes of new keys, pushes of keys
     popped before, pops, the entries each rebuild's `heapify` puts in, and
-    the most entries a heap held after a push or a rebuild."""
+    the most entries a heap held after a push or a rebuild. Each key pushed
+    back is also passed to `on_pushback`, if given, before the push."""
     counts = {"push": 0, "pushback": 0, "pop": 0, "rebuilt": 0, "largest": 0}
     push, pop, heapify = module.heappush, module.heappop, module.heapify
     popped = set()
 
     def counting_push(heap, key):
-        counts["pushback" if key in popped else "push"] += 1
+        if key in popped:
+            counts["pushback"] += 1
+            if on_pushback is not None:
+                on_pushback(key)
+        else:
+            counts["push"] += 1
         push(heap, key)
         counts["largest"] = max(counts["largest"], len(heap))
 
@@ -428,21 +435,39 @@ def test_shielded_keys_are_pushed_back_once_a_phase(k):
     # each victim. Within a phase the shield set only grows, so `furthest`
     # holds the live shielded keys it pops until the guard binds a new set at
     # its next phase reset, and pushes each back once then (none, if a
-    # rebuild drops it first). That keeps push-backs within the redirects,
-    # one shielded page each, plus the entries rebuilt; pushed back at every
-    # base eviction, they were 7 to 60 times that. The guard then costs the
+    # rebuild drops it first, or if its page was requested or evicted while
+    # it was held). That keeps push-backs within the redirects, one shielded
+    # page each, plus the entries rebuilt; pushed back at every base
+    # eviction, they were 7 to 60 times that. The guard then costs the
     # base's heap at most one operation a request more than the same base
     # unguarded, at k = 100 and 1,000 alike
     n = 20_000
+    engines, dead = [], []
+
+    class RecordedContext(EvictionContext):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    def released(key):  # live: its page is cached and was last requested at its index
+        engine = engines[-1]
+        i = key % engine._m
+        if engine.last_used.get(engine._pages[i - 1]) != i:
+            dead.append(key)
+
     for seed in range(4):
         trace, bundle = hot_page_instance(n, k, seed)
         ops = {}
         for spec in ("blind_oracle", "guard:blind_oracle"):
             policy = build_policy(spec)
-            with counted_heaps(cachesim.policy) as counts:
+            with mock.patch.object(cachesim.policy, "EvictionContext", RecordedContext), \
+                    counted_heaps(cachesim.policy, released) as counts:
                 cachesim.policy.simulate(policy, trace, k, bundle, seed=seed,
                                          compute_opt=False)
             ops[spec] = (counts["push"] + counts["pushback"] + counts["pop"]) / n
         assert policy.guard_events > 0
         assert counts["pushback"] <= policy.guard_events + counts["rebuilt"], seed
+        assert dead == [], (seed, len(dead), counts["pushback"])
         assert ops["guard:blind_oracle"] <= ops["blind_oracle"] + 1, (seed, ops)
