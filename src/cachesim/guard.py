@@ -14,21 +14,25 @@ alone would cost. Against arbitrary (even adversarial) eviction choices, the
 redirected evictions keep the total cost within 2*harmonic(k) + 2 times the
 offline optimum.
 
-Cost: the guard does nothing on a hit and works only at evictions. The order
-of the unrequested pages matters only to a redirect's draw, so until a run's
-first redirect the guard keeps none: the unrequested list stays each phase's
-reset list, a copy of the cache, and a cursor over it passes the pages
-requested since the reset or evicted, each once, to tell when the phase ends.
-At the first redirect it replays the phase once, in O(phase length), into the
-order and index map that a hook on every hit would have kept, and from then on
-it keeps them at each eviction.
+The rule: each phase keeps one list, the cache at the phase reset in load
+order, and the request that opened the phase. A page is unrequested exactly
+while it is cached with its last request before that one, which the engine's
+`last_used` tells at any eviction, so the guard takes no request hook. At
+each eviction, entries that fail the test leave the end of the list, and an
+empty list ends the phase. A redirect draws an index uniformly; while the
+entry there fails the test, the last entry moves into its slot and the guard
+draws again. The list always holds every unrequested page once, and a
+rejection removes only an entry that fails, so the accepted draw is uniform
+over the unrequested pages. Cost: nothing per hit. An entry leaves the list
+at most once a phase, by a tail pop or a rejected draw, and a phase reset
+copies the k cached pages after at least k requests, so the guard's work is
+O(1) per request, amortised, with no expectation involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 from .policy import Policy, RunResult
 from .trace import PageId
@@ -72,50 +76,42 @@ class PhaseStats:
 class GuardPolicy(Policy):
     """Wraps a base policy with phase-based eviction protection.
 
-    State per phase: `unrequested` (cached pages not yet touched this phase,
-    a list whose indexes `_pos` maps, so a page leaves it in O(1) and a
-    redirect draws from it uniformly), `guarded` (pages immune to eviction),
-    `evicted_this_phase` (each page evicted this phase and not yet back, with
-    the request that evicted it, in eviction order), and the `old_pages`
-    cache snapshot taken when the phase began. Until the run's first
-    redirect the guard is lazy (`_lazy`): `unrequested` stays the list the
-    phase reset filled, `_pos` stays empty, and the pages of that list not
-    yet touched are those still cached with a last request before the
-    reset. On a miss with a full cache:
+    State per phase: `unrequested` (the cache at the phase reset, in load
+    order, less the entries found requested or evicted since), `_start` (the
+    request that opened the phase), `guarded` (pages immune to eviction),
+    `evicted_this_phase` (pages evicted this phase and not yet back), and the
+    `old_pages` cache snapshot taken when the phase began. A page is
+    unrequested while `ctx.last_used.get(page, _start) < _start`: it is
+    cached, and its last request came before the phase. On a miss with a
+    full cache, the entries at the end of `unrequested` that fail that test
+    are popped, then:
 
-    (a) if `unrequested` is empty (lazy: a cursor over the reset list has
-        passed every page requested since the reset or evicted), a new
-        phase starts: shields drop, `unrequested` refills with the whole
-        cache in load order (that of `ctx.cached`, so draws follow from the
-        requests and seed alone), the snapshot is retaken (this reset
-        happens before the re-request check);
+    (a) if `unrequested` is empty, a new phase starts: shields drop,
+        `unrequested` refills with the whole cache in load order (that of
+        `ctx.cached`, so draws follow from the requests and seed alone), the
+        snapshot is retaken (this reset happens before the re-request
+        check);
     (b) if the missed page was evicted earlier this phase, the victim is a
-        uniform draw from `unrequested` and the page becomes guarded;
+        uniform draw from the unrequested pages, by rejection from the list
+        (an index is drawn again, after the last entry moves into the slot of
+        one that fails), and the page becomes guarded;
     (c) otherwise the base policy picks the victim among unguarded pages:
         each phase reset binds a fresh guarded set, which only grows within
         the phase, and hands it over as `ctx.excluded`, so the engine may
         hold back the shielded keys it pops until the next reset.
 
     Structural invariants (checked at each eviction, violations raise):
-    guarded pages are never evicted mid-phase, the guarded set stays disjoint
-    from `unrequested`, every miss on a snapshot page in phases >= 1 takes
-    branch (b), and no new page is loaded more than twice in one phase.
+    guarded pages are never evicted mid-phase, every miss on a snapshot page
+    in phases >= 1 takes branch (b), and no new page is loaded more than
+    twice in one phase. A guarded page was loaded at or after the request
+    that opened its phase, so it never counts as unrequested.
 
     Cost: nothing per hit. The guard takes no request hook of its own (it
     asks for one only when its base does, and passes it on). An eviction is
-    one Python frame besides the base's choice. While lazy, it steps the
-    cursor (each page of the reset list once, plus one look that stops it)
-    and records the eviction in O(1), and a phase reset is one C-level copy
-    of the cache and its snapshot. At the first redirect, the guard replays
-    the phase so far once: it indexes the reset list and, in time order,
-    takes out each gap's first touches (a C-level `filter` over the slice)
-    and each victim, checks that what is left is what the cursor counts as
-    unrequested, and is eager from then on. An eager eviction makes a
-    C-level pass over the requests since the previous eviction, O(1) Python
-    work per page it removes from `unrequested` (at most k per phase), and
-    O(1) to record the eviction, and an eager phase reset is O(k). The
-    switch is per run, not per phase: runs that redirect at all tend to do
-    so in most phases, and would replay nearly every one.
+    one Python frame besides the base's choice: a look at the list's end,
+    plus a pop for each entry it removes and, at a redirect, a draw for each
+    entry it rejects. Each entry leaves the list at most once a phase, and a
+    phase reset is one C-level copy of the cache and its snapshot.
 
     The guard records only the evictions it chooses, so its base must not be
     a guard itself: the inner guard would never learn of the outer one's
@@ -146,17 +142,11 @@ class GuardPolicy(Policy):
 
     def begin_run(self, trace, k, bundle, rng):
         self.base.begin_run(trace, k, bundle, rng)
-        self._pages = trace.pages
         self._universe = trace.universe_size  # c_q of a run that stays in phase 0
-        self._seen = 0  # requests accounted for
         self.unrequested: list[PageId] = []
-        self._pos: dict[PageId, int] = {}  # page -> its index in `unrequested`
-        self._lazy = True  # until the run's first redirect
-        self._cursor = 0  # lazy: no page before it in `unrequested` is unrequested
-        self._start = 0  # lazy: the request that opened the phase
+        self._start = 0  # the request that opened the phase
         self.guarded: set[PageId] = set()
-        # page -> the request that evicted it, in eviction order
-        self.evicted_this_phase: dict[PageId, int] = {}
+        self.evicted_this_phase: set[PageId] = set()
         self.old_pages: set[PageId] = set()
         self.phase = 0
         self.max_guarded = 0
@@ -169,46 +159,16 @@ class GuardPolicy(Policy):
 
     def choose_victim(self, ctx, rng):
         page, now = ctx.requested, ctx.now
-        items, pos = self.unrequested, self._pos
-        seen = self._seen
-        if pos:  # eager, with unrequested pages left (a lazy guard indexes none)
-            # Catch up with the hits since the previous eviction (none when
-            # that was the previous request): each page touched for the first
-            # time this phase leaves `unrequested` in request order, as on
-            # its hit.
-            if now - 1 > seen:
-                for p in filter(pos.__contains__, self._pages[seen:now - 1]):
-                    idx = pos.pop(p)
-                    last = items.pop()
-                    if idx < len(items):
-                        items[idx] = last
-                        pos[last] = idx
-        elif self._lazy:
-            # `unrequested` is still the list the phase reset filled. The
-            # cursor passes each page requested since the reset or gone from
-            # the cache; the phase is over once it has passed them all.
-            last_used, start, c = ctx.last_used, self._start, self._cursor
-            end = len(items)
-            while c < end and last_used.get(items[c], start) >= start:
-                c += 1
-            self._cursor = c
-            if c == end:
-                items.clear()
-            elif page in self.evicted_this_phase:
-                items, pos = self._replay(ctx)
-        if not items:  # a new phase; `pos` is as empty as `items`
+        items, last_used, start = self.unrequested, ctx.last_used, self._start
+        while items and last_used.get(items[-1], start) >= start:
+            items.pop()
+        if not items:  # no unrequested page is left: a new phase
             c_q = len(self._loads) if self.phase else len(ctx.cached)
             self._closed.append((self.phase, c_q, self._n, self._o,
                                  self._n_new, self._n_old))
             self.old_pages = set(ctx.cached)
             items.extend(ctx.cached)
-            if self._lazy:
-                self._cursor, self._start = 0, now
-            else:
-                i = 0
-                for p in items:
-                    pos[p] = i
-                    i += 1
+            start = self._start = now
             # a fresh set, not the old one cleared: the engine holds back the
             # keys it popped of shielded pages while `excluded` is one object
             self.guarded = ctx.excluded = set()
@@ -220,16 +180,20 @@ class GuardPolicy(Policy):
         if page in evicted:
             if not items:
                 raise InvariantViolation("sample from empty unrequested-page set")
-            victim = items[rng.integers(len(items))]
-            if page in pos:
-                raise InvariantViolation(
-                    f"page {page!r} is both missed and marked unrequested at t={now}"
-                )
+            i = rng.integers(len(items))
+            victim = items[i]
+            while last_used.get(victim, start) >= start:
+                # the list keeps every unrequested page, so one is left
+                last = items.pop()
+                if i < len(items):
+                    items[i] = last
+                i = rng.integers(len(items))
+                victim = items[i]
             if victim in guarded:
                 raise InvariantViolation(f"guarded page {victim!r} evicted mid-phase")
             guarded.add(page)
             # re-admission: the page is back in the cache after this request
-            del evicted[page]
+            evicted.remove(page)
             self.guard_events += 1
             if len(guarded) > self.max_guarded:
                 self.max_guarded = len(guarded)
@@ -244,13 +208,7 @@ class GuardPolicy(Policy):
                 raise InvariantViolation(
                     f"base policy {self.base.name!r} chose guarded page {victim!r}"
                 )
-        idx = pos.pop(victim, None)
-        if idx is not None:
-            last = items.pop()
-            if idx < len(items):
-                items[idx] = last
-                pos[last] = idx
-        evicted[victim] = now
+        evicted.add(victim)
         if page in old:
             self._o += 1
         else:
@@ -265,50 +223,7 @@ class GuardPolicy(Policy):
                     f"new page {page!r} loaded {loads} times in phase {self.phase}"
                 )
             self._loads[page] = loads
-        self._seen = now
         return victim
-
-    def _replayed(self, upto: int) -> tuple[list[PageId], dict[PageId, int]]:
-        """`unrequested` and its index map as the eager guard holds them once
-        caught up with request `upto` (at or after the phase's last
-        eviction), read from the lazy state without changing it: the reset
-        list indexed, then, in time order, each gap's first touches and each
-        victim taken out, as the catch-ups and evictions would have."""
-        items = list(self.unrequested)
-        pos = dict(zip(items, range(len(items))))
-        pages, prev = self._pages, self._start
-        for victim, t in chain(self.evicted_this_phase.items(), ((None, upto + 1),)):
-            if t - 1 > prev:
-                for p in filter(pos.__contains__, pages[prev:t - 1]):
-                    idx = pos.pop(p)
-                    last = items.pop()
-                    if idx < len(items):
-                        items[idx] = last
-                        pos[last] = idx
-            idx = pos.pop(victim, None)
-            if idx is not None:
-                last = items.pop()
-                if idx < len(items):
-                    items[idx] = last
-                    pos[last] = idx
-            prev = t
-        return items, pos
-
-    def _replay(self, ctx):
-        """Switch to the eager state at the run's first redirect: replay the
-        phase so far into `unrequested` and its index map, and check that it
-        holds exactly the pages the cursor still counts as unrequested."""
-        last_used, start = ctx.last_used, self._start
-        want = {p for p in self.unrequested[self._cursor:]
-                if last_used.get(p, start) < start}
-        items, pos = self._replayed(ctx.now - 1)
-        if set(items) != want:
-            raise InvariantViolation(
-                f"replay at t={ctx.now} leaves {sorted(set(items) ^ want)!r} "
-                "out of step with the pages not requested since the phase began"
-            )
-        self.unrequested, self._pos, self._lazy = items, pos, False
-        return items, pos
 
     def on_request(self, page, now, hit):
         self.base.on_request(page, now, hit)

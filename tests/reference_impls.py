@@ -11,12 +11,13 @@ tests read), and so is
 the FITF truth found by bisecting each candidate's request list. The guard
 and `marker` as they were when the engine told every policy of every eviction
 through `on_evict` and the guard took a hook on every request are kept too,
-with an engine that still makes that call, as the rules the lazy guard must
-reproduce, along with the eager guard's sampling set and the catch-up that
-lets a test read the lazy guard's state after any request. A guard that
-counts its own work (phase resets and the pages each reset and catch-up
-moves) checks the paper's "O(1) extra per request" by counts instead of
-timings.
+with an engine that still makes that call, as the rules the hook-free guard
+must reproduce, along with the eager guard's sampling set, the guard that
+draws through that set's swap-removal order (the rule before rejection
+draws) and the catch-up that lets a test read the guard's phase-0 loads after
+any request. A guard that counts its own work (phase resets, list pops and
+reads, and draws) checks the paper's "O(1) extra per request" by counts
+instead of timings.
 The plain and check-in readers and the next-occurrence pass as per-line and
 per-request loops are the rules the package's C-level passes must reproduce.
 The exact oracles (exhaustive optimum, current 1-pages, the random 1-page
@@ -605,8 +606,8 @@ class RecencyLRUPolicy(Policy):
 
 class _RandomSet:
     """Set of page ids with O(1) add, discard, and uniform sampling: the
-    eager guard's `unrequested`, which the lazy guard keeps as a plain list
-    and index map."""
+    eager guard's set of unrequested pages, whose swap-removal order the
+    guard's draws once followed."""
 
     __slots__ = ("_items", "_pos")
 
@@ -642,52 +643,25 @@ class _RandomSet:
         return self._items[rng.integers(len(self._items))]
 
 
-def unrequested_at(guard, t: int) -> list[PageId]:
-    """The unrequested pages, in order, that the eager guard holds after
-    request t, read from the lazy `GuardPolicy` `guard` without changing it,
-    so that an audit never triggers its replay: while the guard is lazy, its
-    replay of the phase up to request t; once it is eager (and for
-    `EagerGuardPolicy`), its list itself, which `catch_up` brings up to
-    request t."""
-    if getattr(guard, "_lazy", False):
-        return guard._replayed(t)[0]
-    return list(guard.unrequested)
-
-
-def catch_up(guard, t: int) -> None:
-    """Account the lazy `GuardPolicy` `guard` for the requests after the last
-    one it accounted for, up to and including request t, as its next
-    eviction would, so that an audit can read its state after any request.
-    Before the first eviction (phase 0) they are cold fills and hits on
-    them, so each distinct page was loaded once. After it, every miss
-    evicts, so they are hits, and once the guard is eager each page touched
-    for the first time this phase leaves `unrequested`, in request order, as
-    it would have on its hit. Until its first redirect the guard keeps no
-    order to update (read it with `unrequested_at`), and it is left alone."""
-    seen = guard._seen
-    if t > seen:
-        if not guard.phase:
-            guard._loads.update(dict.fromkeys(guard._pages[seen:t], 1))
-            guard._seen = t
-            return
-        if guard._lazy:
-            return
-        window, guard._seen = guard._pages[seen:t], t
-        items, pos = guard.unrequested, guard._pos
-        for page in filter(pos.__contains__, window):
-            idx = pos.pop(page)
-            last = items.pop()
-            if idx < len(items):
-                items[idx] = last
-                pos[last] = idx
+def catch_up(guard, pages, t: int) -> None:
+    """Account `GuardPolicy` `guard` for requests 1..t of `pages`, so that an
+    audit can read its `_loads` after any request, as the eager guard counts
+    them. Only phase 0 needs it: the guard counts the loads of a phase at its
+    evictions, and phase 0 ends at the first one, before which every request
+    is a cold fill or a hit, so each distinct page was loaded once."""
+    if not guard.phase:
+        guard._loads.update(dict.fromkeys(pages[:t], 1))
 
 
 class EagerGuardPolicy(Policy):
-    """The guard as it was before it caught up lazily at evictions: a hook on
-    every request removes a hit page from `unrequested` and counts a miss's
-    load, and `on_evict`, which the engine calls after every eviction (run it
-    on `EagerEvictionContext`), records the eviction. Every invariant check
-    of the guard is made at the same point of the run."""
+    """The guard with a hook on every request, which removes a hit page from
+    the set `unrequested_set` and counts a miss's load, and `on_evict`, which
+    the engine calls after every eviction (run it on `EagerEvictionContext`),
+    to record the eviction. It keeps its own copy of each phase's reset list,
+    `unrequested`, and that set alone decides which entries the list's end
+    loses at an eviction and which draws a redirect rejects; it never reads
+    the engine's `last_used`. Every invariant check of the guard is made at
+    the same point of the run."""
 
     needs_request_hook = True
 
@@ -702,7 +676,8 @@ class EagerGuardPolicy(Policy):
     def begin_run(self, trace, k, bundle, rng):
         self.base.begin_run(trace, k, bundle, rng)
         self._base_hook = self.base.on_request if self.base.needs_request_hook else None
-        self.unrequested = _RandomSet()
+        self.unrequested: list[PageId] = []
+        self.unrequested_set = _RandomSet()
         self.guarded: set[PageId] = set()
         self.evicted_this_phase: set[PageId] = set()
         self.old_pages: set[PageId] = set()
@@ -720,20 +695,39 @@ class EagerGuardPolicy(Policy):
         self._closed.append(self._current())
         self.guarded.clear()
         self.old_pages = set(cached)
-        self.unrequested.reset(cached)
+        self.unrequested.extend(cached)
+        self.unrequested_set.reset(cached)
         self.evicted_this_phase.clear()
         self._loads.clear()
         self._n = self._o = self._n_new = self._n_old = 0
         self.phase += 1
 
+    def _draw(self, rng) -> PageId:
+        """A uniform draw among the unrequested pages: an index into the
+        reset list, drawn again, after the last entry moves into its slot,
+        while the entry there has left the set."""
+        items, live = self.unrequested, self.unrequested_set
+        if not items:
+            raise InvariantViolation("sample from empty unrequested-page set")
+        i = rng.integers(len(items))
+        while items[i] not in live:
+            last = items.pop()
+            if i < len(items):
+                items[i] = last
+            i = rng.integers(len(items))
+        return items[i]
+
     def choose_victim(self, ctx, rng):
         page = ctx.requested
-        if not self.unrequested._items:
+        items, live = self.unrequested, self.unrequested_set
+        while items and items[-1] not in live:
+            items.pop()
+        if not items:
             self._close_phase(ctx.cached)
         old = self.old_pages
         if page in self.evicted_this_phase:
-            victim = self.unrequested.sample(rng)
-            if page in self.unrequested._pos:
+            victim = self._draw(rng)
+            if page in live:
                 raise InvariantViolation(
                     f"page {page!r} is both missed and marked unrequested at t={ctx.now}"
                 )
@@ -774,7 +768,7 @@ class EagerGuardPolicy(Policy):
 
     def on_request(self, page, now, hit):
         if hit:
-            self.unrequested.discard(page)
+            self.unrequested_set.discard(page)
         elif page not in self.old_pages:
             loads = self._loads.get(page, 0) + 1
             if loads > 2:
@@ -788,13 +782,22 @@ class EagerGuardPolicy(Policy):
     def on_evict(self, page, now):
         if page in self.guarded:
             raise InvariantViolation(f"guarded page {page!r} evicted mid-phase")
-        self.unrequested.discard(page)
+        self.unrequested_set.discard(page)
         self.evicted_this_phase.add(page)
         self.base.on_evict(page, now)
 
     @property
     def phase_stats(self) -> list[PhaseStats]:
         return [PhaseStats(*ph) for ph in self._closed] + [PhaseStats(*self._current())]
+
+
+class SwapRemoveGuardPolicy(EagerGuardPolicy):
+    """`EagerGuardPolicy` whose redirect draws one index into its set's
+    swap-removal order (`_RandomSet.sample`), the rule before rejection
+    draws: the same distribution of every run, by other draws."""
+
+    def _draw(self, rng) -> PageId:
+        return self.unrequested_set.sample(rng)
 
 
 def opt_against_old_evictions(phases: list[PhaseStats],
@@ -816,46 +819,125 @@ def opt_against_old_evictions(phases: list[PhaseStats],
     return opt <= n_old_sum, n_old_sum <= opt
 
 
+class _CountingList(list):
+    """A list that counts the entries it hands out (by index, slice,
+    iteration or membership test) and its pops."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = self.pops = 0
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        for page in super().__iter__():
+            self.reads += 1
+            yield page
+
+    def __contains__(self, page):
+        self.reads += len(self)
+        return super().__contains__(page)
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
+
+
+class _CountingStream:
+    """A run's draw stream that counts the `integers` draws made through it,
+    and the list pops made before the first of them."""
+
+    def __init__(self, rng, items: _CountingList):
+        self.rng, self.items = rng, items
+        self.draws = 0
+        self.pops_before = None
+
+    def integers(self, n):
+        if not self.draws:
+            self.pops_before = self.items.pops
+        self.draws += 1
+        return self.rng.integers(n)
+
+    def random(self):
+        return self.rng.random()
+
+
+class _OnRunStream:
+    """A guard's base that draws from the run's stream, not from the counting
+    one its guard is handed, so the guard's count holds only its own draws."""
+
+    def __init__(self, base: Policy):
+        self.policy = base
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+    def choose_victim(self, ctx, rng):
+        return self.policy.choose_victim(ctx, rng.rng)
+
+
+@dataclass
+class PhaseWork:
+    """The counted work of one phase of `CountingGuardPolicy`."""
+
+    reset_pages: int
+    tail_pops: int = 0
+    rejected: int = 0  # draws that removed an entry and drew again
+    reads: int = 0
+    draws: int = 0
+    redirects: int = 0
+    evictions: int = 0
+
+
 class CountingGuardPolicy(GuardPolicy):
     """`GuardPolicy` that counts its work per run, leaving its decisions
     alone: the request index of every phase reset (`resets`), the pages the
-    resets put into `unrequested` (`reset_pages`), the unrequested pages hit
-    since the previous eviction (`caught_up`), the evictions, the pages the
-    lazy cursor looked at (`cursor_steps`), the replays that switched the
-    guard to its eager state (`replays`), and the most pages its index map
-    held after an eviction (`indexed`). Each eviction's counts are read from
-    the guard's state before and after it, through `unrequested_at`, and
-    that state must agree: the pages hit since the previous eviction and the
-    victim leave the unrequested set, and a reset refills it with the whole
-    cache."""
+    resets put into `unrequested` (`reset_pages`), and per phase
+    (`phase_work`, one `PhaseWork` a phase from phase 1 on) the list's pops,
+    split into tail pops and rejected draws, the entries read from the list,
+    and the guard's own `integers` draws. An eviction's work up to a phase
+    reset belongs to the phase it closes. Each eviction also checks, from the
+    engine's `last_used` and not through the list, that a phase resets only
+    when no page is unrequested and that the list's live entries are exactly
+    the unrequested pages."""
+
+    def __init__(self, base: Policy):
+        super().__init__(_OnRunStream(base))
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
+        self.unrequested = _CountingList()
         self.resets: list[int] = []
-        self.reset_pages = self.caught_up = self.evictions = 0
-        self.cursor_steps = self.replays = self.indexed = 0
+        self.reset_pages = 0
+        self.phase_work: list[PhaseWork] = []
 
     def choose_victim(self, ctx, rng):
-        before = set(unrequested_at(self, self._seen))
-        hit = before.intersection(self._pages[self._seen:ctx.now - 1])
-        # a guard without the lazy state counts as eager throughout
-        lazy = getattr(self, "_lazy", False)
-        phase, cursor, end = self.phase, getattr(self, "_cursor", 0), len(self.unrequested)
-        victim = super().choose_victim(ctx, rng)
-        self.evictions += 1
-        self.caught_up += len(hit)
-        after = set(unrequested_at(self, ctx.now))
+        items, last_used = self.unrequested, ctx.last_used
+        pops, reads = items.pops, items.reads
+        stream = _CountingStream(rng, items)
+        phase, redirects, start = self.phase, self.guard_events, self._start
+        unrequested = {p for p, t in last_used.items() if t < start}
+        victim = super().choose_victim(ctx, stream)
+        assert self.unrequested is items, "a phase reset refills the list in place"
         if self.phase != phase:
-            assert hit == before, "a phase reset while pages were unrequested"
-            assert after == ctx.cached - {victim}
+            assert not unrequested, "a phase reset while pages were unrequested"
+        # read past the counts: the check is not the guard's work
+        start = self._start
+        live = {p for p in list.__iter__(items) if last_used.get(p, start) < start}
+        assert live == {p for p, t in last_used.items() if t < start}
+        tail = (stream.pops_before if stream.draws else items.pops) - pops
+        work = self.phase_work[-1] if self.phase_work else PhaseWork(0)
+        work.tail_pops += tail
+        work.rejected += items.pops - pops - tail
+        work.reads += items.reads - reads
+        work.draws += stream.draws
+        work.redirects += self.guard_events - redirects
+        if self.phase != phase:
             self.resets.append(ctx.now)
             self.reset_pages += len(ctx.cached)
-        else:
-            assert after == before - hit - {victim}
-        if lazy:
-            # the cursor passes pages to the list's end at a reset, and
-            # otherwise stops at a page it looked at
-            self.cursor_steps += end - cursor if self.phase != phase else self._cursor - cursor + 1
-            self.replays += not self._lazy
-        self.indexed = max(self.indexed, len(self._pos))
+            self.phase_work.append(PhaseWork(len(ctx.cached)))
+        self.phase_work[-1].evictions += 1
         return victim

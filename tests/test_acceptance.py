@@ -39,7 +39,6 @@ from cachesim.guard import GuardPolicy
 from cachesim.oracle import belady_simulate
 from .reference_impls import (
     brute_force_opt,
-    catch_up,
     opt_against_old_evictions,
     random_trace,
     rb_random_policy_cost,
@@ -282,26 +281,32 @@ def test_criterion_6_phase_counter_inequalities(
 
 class _AuditedGuard(GuardPolicy):
     """Guard wrapper that re-checks shielded/unrequested disjointness after
-    every request, once the guard has caught up with it, and after every
-    eviction (the wrapper itself only checks at decision points)."""
+    every request and after every eviction (the wrapper itself only checks
+    at decision points): each shielded page was loaded, by its own record of
+    the misses, at or after the request that opened the phase, so it does
+    not count as unrequested."""
 
     needs_request_hook = True
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
         self.audit_failures = 0
+        self._loaded: dict = {}  # page -> the request that last loaded it
 
     def _audit(self):
-        if any(page in self._pos for page in self.guarded):
+        start, loaded = self._start, self._loaded
+        if any(loaded.get(page, -1) < start for page in self.guarded):
             self.audit_failures += 1
 
     def on_request(self, page, now, hit):
         super().on_request(page, now, hit)
-        catch_up(self, now)
+        if not hit:
+            self._loaded[page] = now
         self._audit()
 
     def choose_victim(self, ctx, rng):
         victim = super().choose_victim(ctx, rng)
+        self._loaded[ctx.requested] = ctx.now  # loaded once the engine evicts
         self._audit()
         return victim
 
@@ -312,7 +317,7 @@ def test_criterion_7_structural_invariants(
 ):
     # Every guarded run in the batches above already self-checks: a shielded
     # page named for eviction, an unshielded snapshot-page miss in phases
-    # >= 1, or a sampled page still marked unrequested all raise. Reaching
+    # >= 1, or a new page loaded a third time in a phase all raise. Reaching
     # this test means those batches completed without a single violation.
     fixture_runs = (
         consistency_batch["batch"].runs

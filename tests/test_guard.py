@@ -233,6 +233,7 @@ class _LoadsAudit(GuardPolicy):
 
     def begin_run(self, trace, k, bundle, rng):
         super().begin_run(trace, k, bundle, rng)
+        self.pages = trace.pages
         self.stream: list = []
         self.phase_starts = [0]
         self.c_q: list[int] = [0]
@@ -240,7 +241,7 @@ class _LoadsAudit(GuardPolicy):
 
     def on_request(self, page, now, hit):
         super().on_request(page, now, hit)
-        catch_up(self, now)
+        catch_up(self, self.pages, now)
         if self.phase != len(self.phase_starts) - 1:  # this request opened a phase
             self.phase_starts.append(len(self.stream))
             self.c_q.append(0)
@@ -295,12 +296,24 @@ COUNTED_BASES = {
 }
 
 
+def check_phase_work(guard):
+    """Each list entry leaves at most once a phase, each draw is a redirect's
+    victim or removes an entry, and each read is a tail pop, one look that
+    stops them at an eviction, or a draw."""
+    for work in guard.phase_work:
+        pops = work.tail_pops + work.rejected
+        assert pops <= work.reset_pages
+        assert work.draws == work.redirects + work.rejected
+        assert work.reads <= pops + work.evictions + work.draws
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 100, 1000])
 @pytest.mark.parametrize("base", sorted(COUNTED_BASES))
 def test_guard_work_is_constant_per_request(base, k):
     # "O(1) extra per request", counted: phase resets are at least k
     # requests apart, so their O(k) refills add up to at most n + k pages,
-    # and each page a catch-up removes was hit at most once per phase
+    # and per phase the list's pops, reads and draws are bounded by its
+    # reset size, evictions and redirects
     n = 4 * k + 2000
     tr = random_trace(np.random.default_rng(k), n, k + 1 + k // 2)
     guard = CountingGuardPolicy(build_policy(base))
@@ -308,25 +321,24 @@ def test_guard_work_is_constant_per_request(base, k):
     gaps = [b - a for a, b in zip(guard.resets, guard.resets[1:])]
     assert len(guard.resets) >= 2
     assert min(gaps) >= k
-    assert guard.caught_up <= n
     assert guard.reset_pages <= n + k
+    check_phase_work(guard)
+    assert sum(w.redirects for w in guard.phase_work) == guard.guard_events
 
 
 @pytest.mark.parametrize("k", [10, 100, 1000])
-def test_well_predicted_guard_never_indexes_a_page(k):
-    # Under perfect predictions the guard never redirects, so until a run's
-    # first redirect it keeps `unrequested` as each phase's reset list and
-    # indexes no page: a cursor passes the pages requested since the reset
-    # or gone from the cache, each at most once a phase, and stops at most
-    # once per eviction on a page still unrequested
+def test_well_predicted_guard_never_draws(k):
+    # Under perfect predictions the guard never redirects, so it never
+    # draws: its work is the tail pops, each entry at most once a phase, and
+    # one look that stops them at each eviction
     n = 4 * k + 2000
     tr = random_trace(np.random.default_rng(k), n, k + 1 + k // 2)
     guard = CountingGuardPolicy(build_policy("blind_oracle"))
     res = simulate(guard, tr, k, perfect_nrt(tr), seed=k)
     assert res.misses == res.opt_misses and guard.guard_events == 0
     assert len(guard.resets) >= 2
-    assert guard.indexed == 0 and guard.replays == 0
-    assert guard.cursor_steps <= guard.reset_pages + guard.evictions
+    assert sum(w.draws for w in guard.phase_work) == 0
+    check_phase_work(guard)
 
 
 # the guarded specs the relabel tests replay, with predictions under which

@@ -1,20 +1,18 @@
-"""The lazy guard against the eager one it replaced.
+"""The hook-free guard against the eager one it replaced.
 
-`GuardPolicy` takes no request hook of its own: at each eviction it catches
-up with the hits since the previous one, and it records the evictions it
-chooses inside `choose_victim`. `EagerGuardPolicy` in `reference_impls.py`
-is the guard as it was before, with a hook on every request and an
-engine-called `on_evict`, run on `EagerEvictionContext`. Over every base and
-the compositions below, both must evict the same pages at the same requests,
-count the same redirects, shielded pages and phase counters, and, at every
-request once the lazy guard has caught up with it, hold the same
-`unrequested` list in the same order, the same `_loads` and the same phase
-state. Until its first redirect the lazy guard keeps no order, and its list
-is read through `unrequested_at`, which replays the phase without changing
-the guard. A run whose predictions turn from exact to inverted at a phase
-start, mid-phase or at a phase's last eviction makes its first redirect late
-in the run, and from then on must still match the eager guard. A replay
-that leaves the list out of step with the cursor stops the run.
+`GuardPolicy` takes no request hook of its own: it tells an unrequested page
+from the engine's `last_used` at each eviction, and it records the evictions
+it chooses inside `choose_victim`. `EagerGuardPolicy` in `reference_impls.py`
+keeps the unrequested pages as a set, with a hook on every request and an
+engine-called `on_evict`, run on `EagerEvictionContext`, and that set alone
+decides which entries of its own copy of the reset list it pops and which
+draws it rejects. Over every base and the compositions below, both must
+evict the same pages at the same requests, count the same redirects,
+shielded pages and phase counters, and, after every request, hold the same
+reset list in the same order, the same `_loads` and the same phase state. A
+run whose predictions turn from exact to inverted at a phase start,
+mid-phase or at a phase's last eviction makes its first redirect late in the
+run, and must still match the eager guard.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from .reference_impls import (
     EagerMarkerPolicy,
     catch_up,
     random_trace,
-    unrequested_at,
 )
 
 # spec -> (the eager reference, the kind of predictions it reads)
@@ -99,8 +96,8 @@ def guards(policy):
         yield from guards(sub)
 
 
-def state(guard, t: int) -> tuple:
-    return (unrequested_at(guard, t), dict(guard._loads),
+def state(guard) -> tuple:
+    return (list(guard.unrequested), dict(guard._loads),
             (guard.phase, guard._n, guard._o, guard._n_new, guard._n_old),
             list(guard._closed), set(guard.guarded), set(guard.evicted_this_phase),
             set(guard.old_pages), guard.guard_events, guard.max_guarded)
@@ -131,7 +128,7 @@ def eager_run(spec, trace, k, seed):
     states = []
     with mock.patch.object(cachesim.policy, "EvictionContext", EagerEvictionContext):
         log = replay(policy, EagerEvictionContext, trace, k, make_bundle(kind, trace, k, seed),
-                     seed, lambda t: states.append([state(g, t) for g in guards(policy)]))
+                     seed, lambda t: states.append([state(g) for g in guards(policy)]))
     return policy, log, states
 
 
@@ -150,14 +147,14 @@ def check_lazy_against_eager(spec, trace, k, seed):
         assert (g.guard_events, g.max_guarded) == (e.guard_events, e.max_guarded)
         assert g.phase_stats == e.phase_stats
 
-    # the same run again, caught up after every request
+    # the same run again, its phase-0 loads caught up after every request
     audited = build_policy(spec)
     got_states = []
 
     def audit(t):
         for g in guards(audited):
-            catch_up(g, t)
-        got_states.append([state(g, t) for g in guards(audited)])
+            catch_up(g, trace.pages, t)
+        got_states.append([state(g) for g in guards(audited)])
 
     got = replay(audited, EvictionContext, trace, k, make_bundle(kind, trace, k, seed), seed, audit)
     assert got == want
@@ -210,14 +207,6 @@ def cut_bundle(trace, cut):
     return PredictionBundle(PredictionKind.NRT, nrt=exact[:cut] + inverted[cut:])
 
 
-class SwitchRecordingGuard(GuardPolicy):
-    """`GuardPolicy` that records the phase and request of its replay."""
-
-    def _replay(self, ctx):
-        self.switched = (self.phase, ctx.now)
-        return super()._replay(ctx)
-
-
 @pytest.mark.parametrize("where", ("phase start", "mid-phase", "last eviction of a phase"))
 @pytest.mark.parametrize("k", (2, 10, 100, 1000))
 def test_late_first_redirect_matches_eager_guard(k, where):
@@ -239,28 +228,15 @@ def test_late_first_redirect_matches_eager_guard(k, where):
 
     eager = EagerGuardPolicy(BlindOraclePolicy())
     want = replay(eager, EagerEvictionContext, trace, k, bundle, k)
-    lazy = SwitchRecordingGuard(BlindOraclePolicy())
-    got = replay(lazy, EvictionContext, trace, k, bundle, k)
+    lazy = GuardPolicy(BlindOraclePolicy())
+    states = []  # (redirects, phase) after each request
+    got = replay(lazy, EvictionContext, trace, k, bundle, k,
+                 lambda t: states.append((lazy.guard_events, lazy.phase)))
     assert got == want
     assert not isinstance(got[-1], str)
     assert lazy.phase_stats == eager.phase_stats
     assert (lazy.guard_events, lazy.max_guarded) == (eager.guard_events, eager.max_guarded)
     # the run redirected, first after the cut and in a phase past the first
-    assert lazy.guard_events > 0 and not lazy._lazy
-    phase, t = lazy.switched
-    assert t >= first and phase >= 2
-
-
-class DroppingReplayGuard(GuardPolicy):
-    """`GuardPolicy` whose replay loses the first unrequested page."""
-
-    def _replayed(self, upto):
-        items, pos = super()._replayed(upto)
-        return items[1:], pos
-
-
-def test_a_replay_out_of_step_with_the_cursor_is_caught():
-    trace = random_trace(np.random.default_rng(11), 2000, 7)
-    log = replay(DroppingReplayGuard(BlindOraclePolicy()), EvictionContext, trace, 4,
-                 inverted_nrt(trace), 1)
-    assert isinstance(log[-1], str) and log[-1].startswith("replay at t=")
+    assert lazy.guard_events > 0
+    t = next(t for t, (redirects, _) in enumerate(states, 1) if redirects)
+    assert t >= first and states[t - 1][1] >= 2
